@@ -34,14 +34,16 @@ class SimulationConfig:
     force_method: str = "tree"       # "tree" or "direct" (O(N^2) oracle)
 
     # --- Fast-path force pipeline knobs ---------------------------------
-    #: Pairs per evaluation chunk (cache blocking of the interaction
-    #: kernels); the default fits the workspace in L2/L3 on this host.
+    #: Elements per (group x list) evaluation tile (cache blocking of the
+    #: interaction kernels): a group of m particles takes its list
+    #: chunk // m entries at a time.
     chunk: int = DEFAULT_CHUNK
     #: Kernel evaluation dtype: "float64", or "float32" (f32 kernels with
     #: f64 accumulators; bounded by the differential oracle).
     precision: str = "float64"
-    #: Pair-to-target reduction: "segment" (reduceat over target runs,
-    #: allocation-free) or "bincount" (legacy length-N scatter).
+    #: Pair-to-target reduction: "segment" (one dense tile per group,
+    #: summed along its list axis) or "bincount" (legacy flat expansion
+    #: with a length-N scatter).
     scatter: str = "segment"
     #: Compute backend executing the interaction kernels: "numpy" (the
     #: bitwise float64 reference), "numba" (fused JIT kernels, optional

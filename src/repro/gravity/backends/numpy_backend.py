@@ -1,9 +1,10 @@
 """NumPy reference backend: the float64 oracle and the default.
 
-Delegates straight to the workspace (``*_ws``) segment evaluators in
-:mod:`repro.gravity.treewalk` and the allocating kernels in
+Delegates straight to the group-tile evaluators in
+:mod:`repro.gravity.treewalk` (the workspace ``*_ws`` kernels on one
+dense tile per group) and the allocating kernels in
 :mod:`repro.gravity.kernels` -- no arithmetic lives here, so selecting
-``backend="numpy"`` is byte-for-byte the pre-registry behaviour (forces,
+``backend="numpy"`` is byte-for-byte calling them directly (forces,
 counts, traces).  Other backends are validated against this one.
 
 ``NumpyBackend`` accepts a ``name`` override so tests can register the
@@ -20,7 +21,7 @@ from .base import ComputeBackend
 
 
 class NumpyBackend(ComputeBackend):
-    """The current ``_ws`` kernels, unchanged: bitwise float64 reference."""
+    """The ``_ws`` kernels on group tiles: the float64 reference."""
 
     def __init__(self, name: str = "numpy"):
         self.name = name
@@ -40,16 +41,16 @@ class NumpyBackend(ComputeBackend):
     def evaluate_pc(self, accx, accy, accz, accp, tview, sv,
                     pc_g, pc_c, group_first, group_count,
                     eps2, quadrupole, counts, chunk, ws) -> None:
-        from ..treewalk import _evaluate_pc_segment
-        _evaluate_pc_segment(accx, accy, accz, accp, tview, sv,
+        from ..treewalk import _evaluate_pc_tiles
+        _evaluate_pc_tiles(accx, accy, accz, accp, tview, sv,
                              pc_g, pc_c, group_first, group_count,
                              eps2, quadrupole, counts, chunk, ws)
 
     def evaluate_pp(self, accx, accy, accz, accp, tview, sv,
                     pp_g, pp_c, group_first, group_count,
                     eps2, counts, exclude_self, chunk, ws) -> None:
-        from ..treewalk import _evaluate_pp_segment
-        _evaluate_pp_segment(accx, accy, accz, accp, tview, sv,
+        from ..treewalk import _evaluate_pp_tiles
+        _evaluate_pp_tiles(accx, accy, accz, accp, tview, sv,
                              pp_g, pp_c, group_first, group_count,
                              eps2, counts, exclude_self, chunk, ws)
 

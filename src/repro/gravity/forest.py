@@ -15,10 +15,13 @@ Correctness rests on an ordering property of
 produces pair lists that are the per-source single-walk lists
 interleaved level-major.  :func:`split_by_source` (a stable sort on the
 source id recovered from the cell index) therefore yields each source's
-pairs in *exactly* the order a dedicated walk would have produced --
-evaluating the segments per source in forest order gives bitwise the
-same forces and byte-identical interaction counts as the per-source
-path (``tests/test_forest_walk.py`` pins this at 1-8 ranks).
+pairs in *exactly* the order a dedicated walk would have produced.  The
+tile evaluator (:mod:`repro.gravity.treewalk`) makes the same recovery
+from the forest's ``cell_offsets``: handed a forest's pair lists whole,
+it lays each group's list out source after source in one tile and sums
+each source's part by itself, in forest order -- bitwise the same
+forces and byte-identical interaction counts as the per-source path
+(``tests/test_forest_walk.py`` pins this at 1-8 ranks).
 """
 
 from __future__ import annotations

@@ -15,20 +15,24 @@ tensor of the cell about its COM)::
     a_i   +=  m_j r/|r|^3 - 3 tr(Q) r/(2|r|^5) - 3 Q r/|r|^5
               + 15 (r^T Q r) r / (2 |r|^7)
 
-Both kernels are flat: they take pre-gathered target/source pairs as 1-D
-arrays and return per-pair contributions, which callers accumulate (see
-``treewalk``).  This mirrors the GPU organisation where the interaction
-list is evaluated on the fly and never stored in off-chip memory.
+The kernels take pre-formed separations and return per-pair
+contributions, which callers accumulate (see ``treewalk``).  This
+mirrors the GPU organisation where the interaction list is evaluated on
+the fly and never stored in off-chip memory.
 
 Each kernel exists in two forms: the original allocating form
-(``pp_interactions`` / ``pc_interactions``), and an in-place workspace
-form (``pp_interactions_ws`` / ``pc_interactions_ws``) whose every ufunc
-writes into caller-provided scratch via ``out=`` so steady-state
-evaluation allocates nothing -- the register-resident evaluation the
-paper credits for its single-GPU efficiency, transposed to numpy.  The
-workspace forms accept float32 buffers (``SimulationConfig.precision``),
-matching the paper's single-precision GPU kernels; accumulation back
-into the per-particle sums stays float64 (see ``treewalk``).
+(``pp_interactions`` / ``pc_interactions``) on flat 1-D pair arrays, and
+an in-place workspace form (``pp_interactions_ws`` /
+``pc_interactions_ws``) whose every ufunc writes into caller-provided
+scratch via ``out=`` -- the register-resident evaluation the paper
+credits for its single-GPU efficiency, transposed to numpy.  The
+workspace forms write only into the separations and the scratch, never
+into the mass or quadrupole operands, so those may be ``(k,)`` rows
+broadcast against an ``(m, k)`` tile of separations: one group's
+particles against the list they share.  They accept float32 buffers
+(``SimulationConfig.precision``), matching the paper's single-precision
+GPU kernels; accumulation back into the per-particle sums stays float64
+(see ``treewalk``).
 """
 
 from __future__ import annotations
@@ -105,13 +109,23 @@ def pc_interactions(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
 
 def pp_interactions_ws(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
                        m: np.ndarray, eps2: float,
-                       r2: np.ndarray, tmp: np.ndarray
+                       r2: np.ndarray, tmp: np.ndarray,
+                       self_pairs=None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """In-place p-p kernel: allocation-free workspace form.
 
-    All six arrays must be same-length, same-dtype scratch buffers owned
-    by the caller.  ``dx``/``dy``/``dz``/``m`` are *consumed*: on return
-    they alias (ax, ay, az, phi).
+    ``dx``/``dy``/``dz``/``r2``/``tmp`` are same-shape, same-dtype
+    scratch owned by the caller; ``dx``/``dy``/``dz`` are *consumed* and
+    alias (ax, ay, az) on return, ``tmp`` holds phi.  ``m`` is only
+    read, so it may be any operand that broadcasts against the
+    separations -- the tile evaluator passes one ``(k,)`` row of source
+    masses for an ``(m, k)`` tile.
+
+    ``self_pairs`` is an index into the separations (anything valid in
+    ``r2[self_pairs]``) naming the pairs of a particle with itself:
+    their ``1/r`` is zeroed before it is used, which removes them from
+    all four outputs and, at ``eps = 0``, replaces the ``1/0`` they would
+    otherwise feed into the products.
     """
     np.multiply(dx, dx, out=r2)
     np.multiply(dy, dy, out=tmp)
@@ -124,14 +138,16 @@ def pp_interactions_ws(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
         np.sqrt(r2, out=r2)
         np.divide(1.0, r2, out=r2)          # r2 now holds rinv
         rinv = r2
-        np.multiply(m, rinv, out=m)         # m now holds mrinv
-        np.multiply(rinv, rinv, out=tmp)
-        np.multiply(m, tmp, out=tmp)        # tmp now holds mrinv3
-        np.multiply(dx, tmp, out=dx)
-        np.multiply(dy, tmp, out=dy)
-        np.multiply(dz, tmp, out=dz)
-        np.negative(m, out=m)               # phi
-    return dx, dy, dz, m
+        if self_pairs is not None:
+            rinv[self_pairs] = 0.0
+        np.multiply(m, rinv, out=tmp)       # tmp now holds mrinv
+        np.multiply(rinv, rinv, out=r2)
+        np.multiply(tmp, r2, out=r2)        # r2 now holds mrinv3
+        np.multiply(dx, r2, out=dx)
+        np.multiply(dy, r2, out=dy)
+        np.multiply(dz, r2, out=dz)
+        np.negative(tmp, out=tmp)           # phi
+    return dx, dy, dz, tmp
 
 
 def pc_interactions_ws(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
@@ -139,18 +155,30 @@ def pc_interactions_ws(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
                        eps2: float,
                        r2: np.ndarray, tmp: np.ndarray,
                        trq: np.ndarray, qrx: np.ndarray,
-                       qry: np.ndarray, qrz: np.ndarray
+                       qry: np.ndarray, qrz: np.ndarray,
+                       scratch: tuple[np.ndarray, ...] | None = None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """In-place p-c kernel: allocation-free workspace form.
+    """In-place p-c kernel: workspace form, broadcast-safe.
 
-    ``quad`` is a 6-tuple of per-pair component buffers (xx, yy, zz, xy,
-    xz, yz) -- *consumed* as scratch after their values are read -- or
-    None for the monopole branch.  ``dx``/``dy``/``dz``/``m`` are
-    consumed and alias (ax, ay, az, phi) on return.
+    ``dx``/``dy``/``dz`` are consumed and alias (ax, ay, az) on return;
+    ``r2``/``tmp``/``qrx``/``qry``/``qrz`` and the four ``scratch``
+    buffers (phi is returned in one of them) are scratch of the
+    separations' shape and dtype.  ``m`` and the 6-tuple ``quad`` (xx,
+    yy, zz, xy, xz, yz; None for the monopole branch) are only read and
+    may broadcast against the separations -- ``(k,)`` rows for an
+    ``(m, k)`` tile -- with ``trq`` scratch of *their* shape receiving
+    ``tr Q``.
+
+    Without ``scratch`` the four buffers are allocated here, the one
+    allocating path of this kernel: the tile evaluator never takes it,
+    callers holding only the positional buffers do (repeated calls get
+    back from the allocator the block the previous call freed).
     """
     if quad is None:
         return pp_interactions_ws(dx, dy, dz, m, eps2, r2, tmp)
     qxx, qyy, qzz, qxy, qxz, qyz = quad
+    rqr, rinv2, phi, radial = scratch if scratch is not None \
+        else np.empty((4,) + dx.shape, dtype=dx.dtype)
 
     np.multiply(dx, dx, out=r2)
     np.multiply(dy, dy, out=tmp)
@@ -166,7 +194,7 @@ def pc_interactions_ws(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
     np.add(qxx, qyy, out=trq)
     trq += qzz
 
-    # Q r before the q-component buffers are recycled.
+    # Q r
     np.multiply(qxx, dx, out=qrx)
     np.multiply(qxy, dy, out=tmp)
     qrx += tmp
@@ -183,53 +211,48 @@ def pc_interactions_ws(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
     np.multiply(qzz, dz, out=tmp)
     qrz += tmp
 
-    rqr = qxx                               # recycle: qxx is dead
     np.multiply(dx, qrx, out=rqr)
     np.multiply(dy, qry, out=tmp)
     rqr += tmp
     np.multiply(dz, qrz, out=tmp)
     rqr += tmp
 
-    rinv2 = qyy                             # recycle the remaining q bufs
-    rinv3 = qzz
-    rinv5 = qxy
-    rinv7 = qxz
-    np.multiply(rinv, rinv, out=rinv2)
-    np.multiply(rinv, rinv2, out=rinv3)
-    np.multiply(rinv3, rinv2, out=rinv5)
-    np.multiply(rinv5, rinv2, out=rinv7)
-
-    phi = qyz
+    # The odd powers of 1/r climb in place through r2 (rinv -> rinv3 ->
+    # rinv5 -> rinv7); every term is taken while its power is current.
     np.multiply(m, rinv, out=phi)
     np.negative(phi, out=phi)
+    np.multiply(rinv, rinv, out=rinv2)
+    rinv3 = np.multiply(rinv, rinv2, out=r2)
     np.multiply(trq, rinv3, out=tmp)
     tmp *= 0.5
     phi += tmp
+    np.multiply(m, rinv3, out=radial)
+
+    rinv5 = np.multiply(rinv3, rinv2, out=r2)
     np.multiply(rqr, rinv5, out=tmp)
     tmp *= 1.5
     phi -= tmp
-
-    radial = m                              # m is dead after this product
-    np.multiply(m, rinv3, out=radial)
     np.multiply(trq, rinv5, out=tmp)
     tmp *= 1.5
     radial -= tmp
+    qrx *= rinv5
+    qrx *= 3.0
+    qry *= rinv5
+    qry *= 3.0
+    qrz *= rinv5
+    qrz *= 3.0
+
+    rinv7 = np.multiply(rinv5, rinv2, out=r2)
     np.multiply(rqr, rinv7, out=tmp)
     tmp *= 7.5
     radial += tmp
 
     np.multiply(dx, radial, out=dx)
-    np.multiply(qrx, rinv5, out=tmp)
-    tmp *= 3.0
-    dx -= tmp
+    dx -= qrx
     np.multiply(dy, radial, out=dy)
-    np.multiply(qry, rinv5, out=tmp)
-    tmp *= 3.0
-    dy -= tmp
+    dy -= qry
     np.multiply(dz, radial, out=dz)
-    np.multiply(qrz, rinv5, out=tmp)
-    tmp *= 3.0
-    dz -= tmp
+    dz -= qrz
     return dx, dy, dz, phi
 
 

@@ -5,9 +5,11 @@ proceeds once per particle *group* (warp), testing the MAC between the
 group's tight AABB and each cell's COM / opening radius.  Accepted cells
 become particle-cell (p-c) interactions shared by the whole group; leaf
 cells that fail the MAC become particle-particle (p-p) interactions.
-Interaction lists are never materialised in full: pairs are expanded and
-evaluated in bounded chunks, mirroring the register-resident evaluation
-the paper credits for its single-GPU efficiency.
+Every particle of a group shares the group's list, and the evaluator
+keeps that structure: one dense (group x list) tile per group, evaluated
+in bounded pieces, mirroring the shared-memory staging and
+register-resident evaluation the paper credits for its single-GPU
+efficiency.
 
 The same machinery walks *remote* LET trees (Sec. III-B2): the walk is
 parameterised by an arbitrary source tree, so the distributed code feeds
@@ -18,22 +20,33 @@ walk over a concatenated cell forest.
 Two evaluation strategies are provided (``scatter=``):
 
 ``"segment"`` (default, the fast path)
-    Pairs are stable-sorted by group, expanded particle-major through a
-    preallocated :class:`KernelWorkspace` (every ufunc writes ``out=``,
-    so steady state allocates nothing), evaluated by the in-place kernel
-    forms, and accumulated with one ``np.add.reduceat`` segment sum per
-    output component -- the targets of one chunk are unique, so the
-    scatter is a plain fancy-indexed add instead of four length-N
-    ``bincount`` passes per chunk.  Supports float32 evaluation with
-    float64 accumulators.
+    Pairs are stable-sorted by group once.  A group's ``m`` targets are
+    a contiguous slice of the sorted target columns (no gather); its
+    ``k`` list entries are gathered once per operand row (``O(m + k)``
+    elements, not ``O(m k)``); the separations ``src[None, :] -
+    tgt[:, None]`` are written straight into ``(m, k)`` views of a
+    preallocated :class:`KernelWorkspace`; the in-place kernels run on
+    the tile with mass / quadrupole rows broadcast, never materialised;
+    and the tile is summed along the list axis in float64 into the
+    group's slice of the accumulators.  ``chunk`` bounds the elements
+    per tile: a longer list is split along the list axis.  The cost of
+    a tile is ~90 ufunc calls whatever its size, so the evaluator is
+    fast where ``m k`` is large: over a forest of sources
+    (:mod:`repro.gravity.forest`) a group's list is the sources' lists
+    laid end to end in one tile, each source's part summed by itself so
+    the result is bitwise that of one evaluation per source.  Supports
+    float32 evaluation with float64 accumulators.
 
 ``"bincount"`` (the pre-optimisation baseline)
-    The original allocating evaluators, kept for A/B benchmarking
-    (``benchmarks/bench_step_pipeline.py``) and as a reference
-    implementation.
+    The original allocating evaluators -- every (particle, source) pair
+    expanded into a flat row, four length-N ``bincount`` passes per
+    chunk -- kept for A/B benchmarking
+    (``benchmarks/bench_step_pipeline.py``) and as the reference
+    implementation the tile evaluator is tested against.
 
 Interaction *counts* are identical between the two: they are a property
-of the walk's pair lists, which neither strategy touches.
+of the walk's pair lists, which neither strategy touches.  Forces agree
+to summation order (``rtol=1e-12`` in ``tests/test_forest_walk.py``).
 """
 
 from __future__ import annotations
@@ -52,10 +65,9 @@ from .kernels import (
     pp_interactions_ws,
 )
 
-#: Upper bound on expanded (target, source) pairs per evaluation chunk.
-#: Sized so the workspace's ~20 chunk-length buffers stay cache-resident:
-#: the chunk sweep in benchmarks/results/step_pipeline.txt runs ~2.4x
-#: faster per pair at 2**15 than at the old allocating 2**21.
+#: Upper bound on the elements of one (group x list) evaluation tile
+#: (and on the expanded pairs per chunk of the ``bincount`` reference).
+#: Sized so the workspace's twelve tile buffers stay cache-resident.
 DEFAULT_CHUNK = 1 << 15
 
 #: Evaluation scatter strategies (see module docstring).
@@ -82,25 +94,27 @@ class TreeWalkResult:
 
 
 class KernelWorkspace:
-    """Preallocated scratch arena for the chunked evaluators.
+    """Preallocated scratch arena for the tile evaluators.
 
-    One workspace serves every chunk of every source a rank evaluates:
-    sixteen kernel buffers in the evaluation dtype, two float64 gather
-    staging buffers, seven int64 index buffers plus a persistent arange,
-    and a bool mask for self-pair exclusion.  ``ensure`` grows the arena
-    when a chunk expands past the current capacity (a pair list's last
-    slice may overshoot ``chunk`` by one pair's expansion) and is a
-    no-op afterwards -- steady-state evaluation performs no allocation.
+    One workspace serves every tile of every source a rank evaluates:
+    twelve tile buffers in the evaluation dtype (the three separations,
+    which become the accelerations, and nine kernel temporaries; an
+    ``(m, k)`` tile is a reshaped prefix of each) plus one row buffer
+    for ``tr Q``.  ``ensure`` grows the arena when a tile exceeds the
+    current capacity (only a group of more than ``chunk`` particles
+    does) and is a no-op afterwards -- steady-state evaluation performs
+    no tile-sized allocation; the ``O(m + k)`` operand rows of a group
+    are ordinary small arrays.
 
-    ``precision="float32"`` makes the kernel buffers single precision
-    (the paper's GPU kernels); separations are formed from float64
-    inputs and downcast once per gather, and the per-segment partial
-    sums are accumulated into float64 outputs.
+    ``precision="float32"`` makes the buffers single precision (the
+    paper's GPU kernels); separations are formed from float64 inputs and
+    downcast once on ``out=``, and the per-particle sums along the list
+    axis are accumulated in float64.
     """
 
-    _F_NAMES = ("dx", "dy", "dz", "m", "q0", "q1", "q2", "q3", "q4", "q5",
-                "r2", "tmp", "trq", "qrx", "qry", "qrz")
-    _I_NAMES = ("i1", "i2", "i3", "i4", "i5", "i6", "i7")
+    #: Tile buffers, in the order :meth:`tiles` returns them: dx, dy, dz,
+    #: r2, tmp, qrx, qry, qrz and four more kernel temporaries.
+    N_TILES = 12
 
     def __init__(self, chunk: int = DEFAULT_CHUNK, precision: str = "float64"):
         if precision not in PRECISIONS:
@@ -112,25 +126,24 @@ class KernelWorkspace:
         self.ensure(int(chunk))
 
     def ensure(self, chunk: int) -> "KernelWorkspace":
-        """Grow the arena to hold ``chunk`` expanded pairs."""
-        if chunk <= self.chunk:
-            return self
-        self.chunk = int(chunk)
-        for name in self._F_NAMES:
-            setattr(self, name, np.empty(self.chunk, dtype=self.dtype))
-        self.g1 = np.empty(self.chunk, dtype=np.float64)
-        self.g2 = np.empty(self.chunk, dtype=np.float64)
-        for name in self._I_NAMES:
-            setattr(self, name, np.empty(self.chunk, dtype=np.int64))
-        self.arange = np.arange(self.chunk, dtype=np.int64)
-        self.bmask = np.empty(self.chunk, dtype=bool)
+        """Grow the arena to hold tiles of ``chunk`` elements."""
+        if chunk > self.chunk:
+            self.chunk = int(chunk)
+            self._tiles = [np.empty(self.chunk, dtype=self.dtype)
+                           for _ in range(self.N_TILES)]
+            self.trq = np.empty(self.chunk, dtype=self.dtype)
         return self
+
+    def tiles(self, m: int, k: int, n: int = N_TILES) -> list[np.ndarray]:
+        """The first ``n`` tile buffers as ``(m, k)`` views."""
+        self.ensure(m * k)
+        return [buf[:m * k].reshape(m, k) for buf in self._tiles[:n]]
 
     @property
     def nbytes(self) -> int:
         """Total arena size (for memory accounting)."""
-        itemsize = 4 if self.precision == "float32" else 8
-        return self.chunk * (16 * itemsize + 2 * 8 + 8 * 8 + 1)
+        return (self.chunk * (self.N_TILES + 1)
+                * np.dtype(self.dtype).itemsize)
 
 
 class SourceView:
@@ -138,35 +151,46 @@ class SourceView:
 
     ``np.take`` on a contiguous 1-D array is the fastest gather numpy
     offers; the tree/LET arrays are (n, 3) and (n, 6) row-major, so the
-    per-column copies here pay for themselves after the first chunk.
+    per-column copies here pay for themselves after the first group.
     Built once per source (or once per forest) and shared by both
-    evaluators.
+    evaluators.  A view made by :meth:`for_particles` carries no cell
+    moments (``com_*``/``mass``/``quad`` are None) and serves p-p only.
+    ``cell_offsets`` is the source's own when it is a forest of several
+    structures (None otherwise): the evaluators sum each structure's
+    part of a group's list separately, in forest order.
     """
 
-    __slots__ = ("com_x", "com_y", "com_z", "mass", "quad",
+    __slots__ = ("com_x", "com_y", "com_z", "mass", "quad", "cell_offsets",
                  "body_first", "body_count", "sx", "sy", "sz", "smass")
+
+    @classmethod
+    def for_particles(cls, spos: np.ndarray | None, smass: np.ndarray | None,
+                      body_first: np.ndarray, body_count: np.ndarray
+                      ) -> "SourceView":
+        """View of the leaf bodies alone (``spos`` None: no bodies either)."""
+        v = cls()
+        v.com_x = v.com_y = v.com_z = v.mass = v.quad = None
+        v.cell_offsets = None
+        v.body_first = np.asarray(body_first, dtype=np.int64)
+        v.body_count = np.asarray(body_count, dtype=np.int64)
+        if spos is not None:
+            v.sx, v.sy, v.sz = target_columns(spos)
+            v.smass = np.ascontiguousarray(smass)
+        else:
+            v.sx = v.sy = v.sz = v.smass = None
+        return v
 
     @classmethod
     def build(cls, source, spos: np.ndarray | None = None,
               smass: np.ndarray | None = None) -> "SourceView":
-        v = cls()
-        com = source.com
-        v.com_x = np.ascontiguousarray(com[:, 0])
-        v.com_y = np.ascontiguousarray(com[:, 1])
-        v.com_z = np.ascontiguousarray(com[:, 2])
+        v = cls.for_particles(spos, smass, source.body_first,
+                              source.body_count)
+        v.com_x, v.com_y, v.com_z = target_columns(source.com)
         v.mass = np.ascontiguousarray(source.mass)
         q = getattr(source, "quad", None)
         v.quad = tuple(np.ascontiguousarray(q[:, k]) for k in range(6)) \
             if q is not None else None
-        v.body_first = np.asarray(source.body_first, dtype=np.int64)
-        v.body_count = np.asarray(source.body_count, dtype=np.int64)
-        if spos is not None:
-            v.sx = np.ascontiguousarray(spos[:, 0])
-            v.sy = np.ascontiguousarray(spos[:, 1])
-            v.sz = np.ascontiguousarray(spos[:, 2])
-            v.smass = np.ascontiguousarray(smass)
-        else:
-            v.sx = v.sy = v.sz = v.smass = None
+        v.cell_offsets = getattr(source, "cell_offsets", None)
         return v
 
 
@@ -297,12 +321,15 @@ def _expand_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return first[reps] + offs
 
 
-def _chunk_starts(cum: np.ndarray, n_pairs: int, chunk: int) -> np.ndarray:
-    """Pair-list slice boundaries so each slice expands to ~chunk rows."""
-    total = int(cum[-1])
-    splits = np.searchsorted(cum, np.arange(chunk, total, chunk),
+def _bounded_slices(sizes: np.ndarray, chunk: int):
+    """Yield pair-list slices ``(a, b)`` that each expand to ~chunk rows."""
+    cum = np.cumsum(sizes)
+    splits = np.searchsorted(cum, np.arange(chunk, int(cum[-1]), chunk),
                              side="left") + 1
-    return np.concatenate(([0], splits, [n_pairs]))
+    starts = np.concatenate(([0], splits, [len(sizes)]))
+    for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        if a < b:
+            yield a, b
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +345,8 @@ def _evaluate_pc_bincount(acc: np.ndarray, phi: np.ndarray,
                           counts: InteractionCounts, chunk: int) -> None:
     n = len(tpos)
     sizes = group_count[pc_g]
-    cum = np.cumsum(sizes)
-    counts.n_pc += int(cum[-1])
-    starts = _chunk_starts(cum, len(pc_g), chunk)
-    for a, b in zip(starts[:-1], starts[1:]):
-        if a >= b:
-            continue
+    counts.n_pc += int(sizes.sum())
+    for a, b in _bounded_slices(sizes, chunk):
         gs = pc_g[a:b]
         cs = pc_c[a:b]
         reps = group_count[gs]
@@ -353,12 +376,8 @@ def _evaluate_pp_bincount(acc: np.ndarray, phi: np.ndarray,
     gc = group_count[pp_g]
     bc = body_count[pp_c]
     sizes = (gc * bc).astype(np.int64)
-    cum = np.cumsum(sizes)
-    counts.n_pp += int(cum[-1])
-    starts = _chunk_starts(cum, len(pp_g), chunk)
-    for a, b in zip(starts[:-1], starts[1:]):
-        if a >= b:
-            continue
+    counts.n_pp += int(sizes.sum())
+    for a, b in _bounded_slices(sizes, chunk):
         gs = pp_g[a:b]
         cs = pp_c[a:b]
         gcs = group_count[gs]
@@ -387,260 +406,146 @@ def _evaluate_pp_bincount(acc: np.ndarray, phi: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Fast-path evaluators ("segment"): workspace expansion + segment reduction.
+# Fast-path evaluators ("segment"): one dense (group x list) tile per group.
 # ---------------------------------------------------------------------------
 
-def _sort_pairs(pg: np.ndarray, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable-sort a pair list by group.
+def _group_runs(pg: np.ndarray, pc: np.ndarray,
+                cell_offsets: np.ndarray | None = None):
+    """Sort a pair list by group and yield ``(group, entries, cuts)``.
 
-    Walk output is level-major: a concatenation of per-level slices each
-    already ascending in ``g``, so the adaptive stable sort runs in
-    near-linear time (galloping merge of a few sorted runs).
+    Each yield is one group's whole interaction list.  Over a forest
+    (``cell_offsets`` the prefix of its sources' cell counts) the list
+    is the sources' lists one after another, each in walk order, and
+    ``cuts`` the offsets at which they start (plus the list's length);
+    a single source gives ``cuts = [0, len(entries)]``.  Both sorts are
+    stable, and walk output is a concatenation of per-level slices each
+    already ascending in ``g``, so they run in near-linear time.
     """
-    order = np.argsort(pg, kind="stable")
-    return pg[order], pc[order]
-
-
-def _gather(col: np.ndarray, idx: np.ndarray, scratch: np.ndarray,
-            out: np.ndarray) -> np.ndarray:
-    """take() into ``out``, staging through float64 scratch when downcasting."""
-    if out.dtype == col.dtype:
-        np.take(col, idx, out=out)
+    if cell_offsets is None:
+        order = np.argsort(pg, kind="stable")
     else:
-        np.take(col, idx, out=scratch)
-        np.copyto(out, scratch, casting="same_kind")
-    return out
+        src = np.searchsorted(cell_offsets, pc, side="right")
+        order = np.lexsort((src, pg))
+        src = src[order]
+    gs, cs = pg[order], pc[order]
+    new_group = gs[1:] != gs[:-1]
+    new_run = new_group if cell_offsets is None \
+        else new_group | (src[1:] != src[:-1])
+    runs = np.concatenate(([0], np.flatnonzero(new_run) + 1, [len(gs)]))
+    # Position in ``runs`` of each group's first run.
+    first = np.concatenate(
+        ([0], np.flatnonzero(new_group[runs[1:-1] - 1]) + 1,
+         [len(runs) - 1])).tolist()
+    for i, j in zip(first[:-1], first[1:]):
+        a = int(runs[i])
+        yield int(gs[a]), cs[a:runs[j]], runs[i:j + 1] - a
 
 
-def _gather_diff(acol: np.ndarray, aidx: np.ndarray,
-                 bcol: np.ndarray, bidx: np.ndarray,
-                 g1: np.ndarray, g2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = acol[aidx] - bcol[bidx] without temporaries (downcasts via out=)."""
-    np.take(acol, aidx, out=g1)
-    np.take(bcol, bidx, out=g2)
-    np.subtract(g1, g2, out=out)
-    return out
+def _list_tiles(ws: KernelWorkspace, n_buf: int, tview, gf: int, m: int,
+                sx: np.ndarray, sy: np.ndarray, sz: np.ndarray,
+                cuts: list, chunk: int):
+    """Yield ``(lo, hi, pieces, tiles)`` over one group's list.
 
+    The group's ``m`` targets are the contiguous slice ``[gf, gf + m)``
+    of the sorted target columns and ``sx``/``sy``/``sz`` the positions
+    of its list entries, gathered once.  Each tile is the broadcast
+    ``src[None, lo:hi] - tgt[:, None]`` (a float64 subtraction, downcast
+    on ``out=``) written into the first three of ``n_buf`` views of the
+    workspace, each ``(m, hi - lo)``; no tile exceeds ``chunk`` elements
+    (a group of more than ``chunk`` particles takes one entry at a time).
 
-def _run_layout(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Detect maximal constant runs in ``key``: (run_first_index, run_length)."""
-    change = np.flatnonzero(key[1:] != key[:-1]) + 1
-    rp = np.concatenate(([0], change))
-    lengths = np.diff(np.concatenate((rp, [len(key)])))
-    return rp, lengths
-
-
-def _row_expand(ws: KernelWorkspace, row_start: np.ndarray, total: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row run ids and in-run offsets via the indicator/cumsum trick.
-
-    Returns (rid, off) slices of workspace buffers i1/i2.
+    ``pieces`` are the column ranges of the tile that are summed
+    separately: every source's run (``cuts``) in steps of ``chunk // m``
+    entries counted from the run's own start.  They do not depend on
+    what else shares the list, so a source adds bitwise the same partial
+    sums evaluated alone or in a batch; a tile takes as many whole
+    pieces as fit.
     """
-    rid = ws.i1[:total]
-    rid[:] = 0
-    if len(row_start) > 2:
-        rid[row_start[1:-1]] = 1
-    np.cumsum(rid, out=rid)
-    off = ws.i2[:total]
-    np.take(row_start, rid, out=off)
-    np.subtract(ws.arange[:total], off, out=off)
-    return rid, off
+    tx, ty, tz = (t[gf:gf + m, None] for t in tview)
+    width = max(1, chunk // m)
+    ends = [min(p + width, b) for a, b in zip(cuts[:-1], cuts[1:])
+            for p in range(a, b, width)]
+    lo = i = 0
+    while i < len(ends):
+        j = i + 1
+        while j < len(ends) and ends[j] - lo <= width:
+            j += 1
+        hi = ends[j - 1]
+        tiles = ws.tiles(m, hi - lo, n_buf)
+        np.subtract(sx[None, lo:hi], tx, out=tiles[0])
+        np.subtract(sy[None, lo:hi], ty, out=tiles[1])
+        np.subtract(sz[None, lo:hi], tz, out=tiles[2])
+        yield lo, hi, [p - lo for p in [lo] + ends[i:j]], tiles
+        lo, i = hi, j
 
 
-def _segment_scatter(ws: KernelWorkspace, vals, run_gfirst: np.ndarray,
-                     run_nseg: np.ndarray, run_seglen: np.ndarray,
-                     row_start: np.ndarray, outs) -> None:
-    """Reduce per-row kernel outputs into per-particle accumulators.
-
-    Each run contributes ``run_nseg`` segments of ``run_seglen``
-    consecutive rows; segment ``j`` of run ``r`` targets particle
-    ``run_gfirst[r] + j``.  Within one chunk every run is a distinct
-    group, so the targets are unique and the scatter is a plain
-    fancy-indexed add -- no ``bincount``, no length-N temporaries.
-    """
-    seg_start = np.concatenate(([0], np.cumsum(run_nseg)))
-    n_seg = int(seg_start[-1])
-    srid = ws.i3[:n_seg]
-    srid[:] = 0
-    if len(seg_start) > 2:
-        srid[seg_start[1:-1]] = 1
-    np.cumsum(srid, out=srid)
-    sj = ws.i4[:n_seg]
-    np.take(seg_start, srid, out=sj)
-    np.subtract(ws.arange[:n_seg], sj, out=sj)
-    st = ws.i1[:n_seg]
-    np.take(run_gfirst, srid, out=st)
-    np.add(st, sj, out=st)
-    sstart = ws.i5[:n_seg]
-    np.take(run_seglen, srid, out=sstart)
-    np.multiply(sstart, sj, out=sstart)
-    np.take(row_start, srid, out=sj)
-    np.add(sstart, sj, out=sstart)
-    for val, sbuf, out_col in zip(vals, (ws.trq, ws.qrx, ws.qry, ws.qrz), outs):
-        sums = sbuf[:n_seg]
-        np.add.reduceat(val, sstart, out=sums)
-        out_col[st] += sums
+def _reduce_tile(acc_cols, gf: int, m: int, vals, pieces: list) -> None:
+    """Sum a tile's pieces along the list axis (in float64) into the group."""
+    for col, val in zip(acc_cols, vals):
+        for a, b in zip(pieces[:-1], pieces[1:]):
+            col[gf:gf + m] += np.add.reduce(val[:, a:b], axis=1,
+                                            dtype=np.float64)
 
 
-def _evaluate_pc_segment(accx, accy, accz, accp,
-                         tview, sv: SourceView,
-                         pc_g: np.ndarray, pc_c: np.ndarray,
-                         group_first: np.ndarray, group_count: np.ndarray,
-                         eps2: float, quadrupole: bool,
-                         counts: InteractionCounts, chunk: int,
-                         ws: KernelWorkspace) -> None:
+def _evaluate_pc_tiles(accx, accy, accz, accp,
+                       tview, sv: SourceView,
+                       pc_g: np.ndarray, pc_c: np.ndarray,
+                       group_first: np.ndarray, group_count: np.ndarray,
+                       eps2: float, quadrupole: bool,
+                       counts: InteractionCounts, chunk: int,
+                       ws: KernelWorkspace) -> None:
     if quadrupole and sv.quad is None:
         raise ValueError("quadrupole evaluation needs source quadrupoles")
-    gs_all, cs_all = _sort_pairs(pc_g, pc_c)
-    sizes = group_count[gs_all]
-    cum = np.cumsum(sizes)
-    counts.n_pc += int(cum[-1])
-    starts = _chunk_starts(cum, len(gs_all), chunk)
-    tx, ty, tz = tview
-    for a, b in zip(starts[:-1], starts[1:]):
-        if a >= b:
-            continue
-        gs = gs_all[a:b]
-        cs = cs_all[a:b]
-        # Run layout: after the group sort each group's pairs are
-        # contiguous, so runs == groups and chunk targets are unique.
-        rp, k = _run_layout(gs)
-        grun = gs[rp]
-        mrun = group_count[grun]
-        gfrun = group_first[grun]
-        row_start = np.concatenate(([0], np.cumsum(mrun * k)))
-        total = int(row_start[-1])
-        ws.ensure(total)
-
-        rid, off = _row_expand(ws, row_start, total)
-        kpr = ws.i3[:total]
-        np.take(k, rid, out=kpr)
-        pl = ws.i4[:total]
-        np.floor_divide(off, kpr, out=pl)          # particle slot in group
-        cl = ws.i5[:total]
-        np.multiply(pl, kpr, out=cl)
-        np.subtract(off, cl, out=cl)               # cell slot in run
-        np.take(rp, rid, out=kpr)
-        np.add(kpr, cl, out=cl)                    # pair index in chunk
-        cell = ws.i6[:total]
-        np.take(cs, cl, out=cell)
-        t = off                                    # reuse: off is consumed
-        np.take(gfrun, rid, out=t)
-        np.add(t, pl, out=t)
-
-        dx = ws.dx[:total]
-        dy = ws.dy[:total]
-        dz = ws.dz[:total]
-        m = ws.m[:total]
-        g1 = ws.g1[:total]
-        g2 = ws.g2[:total]
-        _gather_diff(sv.com_x, cell, tx, t, g1, g2, dx)
-        _gather_diff(sv.com_y, cell, ty, t, g1, g2, dy)
-        _gather_diff(sv.com_z, cell, tz, t, g1, g2, dz)
-        _gather(sv.mass, cell, g1, m)
-        if quadrupole:
-            qb = (ws.q0[:total], ws.q1[:total], ws.q2[:total],
-                  ws.q3[:total], ws.q4[:total], ws.q5[:total])
-            for col, buf in zip(sv.quad, qb):
-                _gather(col, cell, g1, buf)
-            ax, ay, az, ph = pc_interactions_ws(
-                dx, dy, dz, m, qb, eps2, ws.r2[:total], ws.tmp[:total],
-                ws.trq[:total], ws.qrx[:total], ws.qry[:total], ws.qrz[:total])
-        else:
-            ax, ay, az, ph = pc_interactions_ws(
-                dx, dy, dz, m, None, eps2, ws.r2[:total], ws.tmp[:total],
-                ws.trq[:total], ws.qrx[:total], ws.qry[:total], ws.qrz[:total])
-
-        _segment_scatter(ws, (ax, ay, az, ph), gfrun, mrun, k, row_start,
-                         (accx, accy, accz, accp))
+    cols = (sv.com_x, sv.com_y, sv.com_z, sv.mass) \
+        + (sv.quad if quadrupole else ())
+    acc_cols = (accx, accy, accz, accp)
+    for g, cells, cuts in _group_runs(pc_g, pc_c, sv.cell_offsets):
+        gf, m = int(group_first[g]), int(group_count[g])
+        counts.n_pc += m * len(cells)
+        # O(m + k): one take per operand row; the tile broadcasts them.
+        sx, sy, sz, *rows = (col.take(cells) for col in cols)
+        rows = [r.astype(ws.dtype, copy=False) for r in rows]
+        for lo, hi, pieces, tiles in _list_tiles(
+                ws, ws.N_TILES, tview, gf, m, sx, sy, sz, cuts.tolist(),
+                chunk):
+            mass, *quad = (r[lo:hi] for r in rows)
+            dx, dy, dz, r2, tmp, qrx, qry, qrz, *scratch = tiles
+            _reduce_tile(acc_cols, gf, m, pc_interactions_ws(
+                dx, dy, dz, mass, quad or None, eps2, r2, tmp,
+                ws.trq[:hi - lo], qrx, qry, qrz, scratch), pieces)
 
 
-def _evaluate_pp_segment(accx, accy, accz, accp,
-                         tview, sv: SourceView,
-                         pp_g: np.ndarray, pp_c: np.ndarray,
-                         group_first: np.ndarray, group_count: np.ndarray,
-                         eps2: float, counts: InteractionCounts,
-                         exclude_self: bool, chunk: int,
-                         ws: KernelWorkspace) -> None:
-    gs_all, cs_all = _sort_pairs(pp_g, pp_c)
-    bc_all = sv.body_count[cs_all]
-    sizes = group_count[gs_all] * bc_all
-    cum = np.cumsum(sizes)
-    counts.n_pp += int(cum[-1])
-    if (bc_all == 0).any():
-        # Pruned multipole-only leaves contribute no bodies; drop them so
-        # run bookkeeping never sees an empty bodylist.
-        keep = bc_all > 0
-        gs_all, cs_all, bc_all = gs_all[keep], cs_all[keep], bc_all[keep]
-        sizes = sizes[keep]
-        cum = np.cumsum(sizes)
-        if len(cum) == 0:
-            return
-    starts = _chunk_starts(cum, len(gs_all), chunk)
-    tx, ty, tz = tview
-    for a, b in zip(starts[:-1], starts[1:]):
-        if a >= b:
-            continue
-        gs = gs_all[a:b]
-        cs = cs_all[a:b]
-        bc = bc_all[a:b]
-        rp, _ = _run_layout(gs)
-        grun = gs[rp]
-        mrun = group_count[grun]
-        gfrun = group_first[grun]
-        # Bodylist: the concatenated particles of every leaf in the
-        # chunk; a run's leaves are adjacent, so its bodies form one
-        # contiguous span of length brun.
-        bl_pair_start = np.concatenate(([0], np.cumsum(bc)))
-        n_bodies = int(bl_pair_start[-1])
-        brun = np.add.reduceat(bc, rp)
-        bl_run_start = bl_pair_start[rp]
-        row_start = np.concatenate(([0], np.cumsum(mrun * brun)))
-        total = int(row_start[-1])
-        ws.ensure(total)
-
-        blid, boff = _row_expand(ws, bl_pair_start, n_bodies)
-        bl = ws.i7[:n_bodies]
-        np.take(sv.body_first[cs], blid, out=bl)
-        np.add(bl, boff, out=bl)
-
-        rid, off = _row_expand(ws, row_start, total)
-        bpr = ws.i3[:total]
-        np.take(brun, rid, out=bpr)
-        pl = ws.i4[:total]
-        np.floor_divide(off, bpr, out=pl)          # particle slot in group
-        blo = ws.i5[:total]
-        np.multiply(pl, bpr, out=blo)
-        np.subtract(off, blo, out=blo)             # body slot in run
-        np.take(bl_run_start, rid, out=bpr)
-        np.add(bpr, blo, out=blo)                  # bodylist index
-        s = ws.i6[:total]
-        np.take(bl, blo, out=s)
-        t = off
-        np.take(gfrun, rid, out=t)
-        np.add(t, pl, out=t)
-
-        dx = ws.dx[:total]
-        dy = ws.dy[:total]
-        dz = ws.dz[:total]
-        m = ws.m[:total]
-        g1 = ws.g1[:total]
-        g2 = ws.g2[:total]
-        _gather_diff(sv.sx, s, tx, t, g1, g2, dx)
-        _gather_diff(sv.sy, s, ty, t, g1, g2, dy)
-        _gather_diff(sv.sz, s, tz, t, g1, g2, dz)
-        _gather(sv.smass, s, g1, m)
-        if exclude_self:
-            mask = ws.bmask[:total]
-            np.equal(t, s, out=mask)
-            m[mask] = 0.0
-        ax, ay, az, ph = pp_interactions_ws(dx, dy, dz, m, eps2,
-                                            ws.r2[:total], ws.tmp[:total])
-        if exclude_self and eps2 == 0.0:
-            ax[mask] = ay[mask] = az[mask] = ph[mask] = 0.0
-
-        _segment_scatter(ws, (ax, ay, az, ph), gfrun, mrun, brun, row_start,
-                         (accx, accy, accz, accp))
+def _evaluate_pp_tiles(accx, accy, accz, accp,
+                       tview, sv: SourceView,
+                       pp_g: np.ndarray, pp_c: np.ndarray,
+                       group_first: np.ndarray, group_count: np.ndarray,
+                       eps2: float, counts: InteractionCounts,
+                       exclude_self: bool, chunk: int,
+                       ws: KernelWorkspace) -> None:
+    acc_cols = (accx, accy, accz, accp)
+    for g, leaves, cuts in _group_runs(pp_g, pp_c, sv.cell_offsets):
+        gf, m = int(group_first[g]), int(group_count[g])
+        # The list is the concatenated bodies of the group's leaves
+        # (pruned multipole-only leaves of a LET contribute none).
+        nb = sv.body_count[leaves]
+        bodies = _expand_ranges(sv.body_first[leaves], nb)
+        cuts = np.concatenate(([0], np.cumsum(nb)))[cuts].tolist()
+        counts.n_pp += m * len(bodies)
+        sx, sy, sz = (col.take(bodies) for col in (sv.sx, sv.sy, sv.sz))
+        mass = sv.smass.take(bodies).astype(ws.dtype, copy=False)
+        # Target row a body *is* (targets and sources are one sorted set).
+        own = bodies - gf if exclude_self else None
+        for lo, hi, pieces, tiles in _list_tiles(
+                ws, 5, tview, gf, m, sx, sy, sz, cuts, chunk):
+            self_pairs = None
+            if exclude_self:
+                row = own[lo:hi]
+                col = np.flatnonzero((row >= 0) & (row < m))
+                if len(col):
+                    self_pairs = (row[col], col)
+            dx, dy, dz, r2, tmp = tiles
+            _reduce_tile(acc_cols, gf, m, pp_interactions_ws(
+                dx, dy, dz, mass[lo:hi], eps2, r2, tmp, self_pairs), pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -728,16 +633,8 @@ def evaluate_pp_pairs(acc: np.ndarray, phi: np.ndarray,
                               body_count, eps2, counts, exclude_self, chunk)
         return
     ws = workspace if workspace is not None else be.make_workspace(chunk)
-    if sview is None or sview.sx is None:
-        sv = SourceView.__new__(SourceView)
-        sv.body_first = np.asarray(body_first, dtype=np.int64)
-        sv.body_count = np.asarray(body_count, dtype=np.int64)
-        sv.sx = np.ascontiguousarray(spos[:, 0])
-        sv.sy = np.ascontiguousarray(spos[:, 1])
-        sv.sz = np.ascontiguousarray(spos[:, 2])
-        sv.smass = np.ascontiguousarray(smass)
-    else:
-        sv = sview
+    sv = sview if sview is not None and sview.sx is not None \
+        else SourceView.for_particles(spos, smass, body_first, body_count)
     tv = tview if tview is not None else target_columns(tpos)
     be.evaluate_pp(acc[:, 0], acc[:, 1], acc[:, 2], phi, tv, sv,
                    pp_g, pp_c, group_first, group_count, eps2,

@@ -261,8 +261,11 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
     # --- force computation ---------------------------------------------------
     comm.set_phase("gravity")
     eps2 = config.softening ** 2
-    acc_sorted = np.zeros((n, 3))
-    phi_sorted = np.zeros(n)
+    # p-c and p-p sums are kept apart until the end: each then receives
+    # its contributions source by source in the same sequence whether a
+    # source is evaluated alone or as part of a batch.
+    acc_sorted, acc_pp = np.zeros((n, 3)), np.zeros((n, 3))
+    phi_sorted, phi_pp = np.zeros(n), np.zeros(n)
     counts_local = InteractionCounts(quadrupole=config.quadrupole)
     counts_let = InteractionCounts(quadrupole=config.quadrupole)
     gmin, gmax = group_aabbs(tree, spos)
@@ -288,6 +291,22 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
     if wcache is not None:
         wcache.begin_step(tree.group_first, tree.group_count)
 
+    def evaluate(source, part_pos, part_mass, lists, counts,
+                 exclude_self=False) -> None:
+        # ``source`` is the local tree, one remote structure or a forest
+        # of them (whose sources' lists the tile evaluator concatenates
+        # per group and sums separately, in forest order).
+        pc_g, pc_c, pp_g, pp_c = lists
+        sview = (SourceView.build(source, spos=part_pos, smass=part_mass)
+                 if segment else None)
+        evaluate_pc_pairs(acc_sorted, phi_sorted, spos, source, pc_g, pc_c,
+                          tree.group_first, tree.group_count, eps2,
+                          config.quadrupole, counts, sview=sview, **eval_kw)
+        evaluate_pp_pairs(acc_pp, phi_pp, spos, part_pos, part_mass,
+                          pp_g, pp_c, tree.group_first, tree.group_count,
+                          source.body_first, source.body_count, eps2, counts,
+                          exclude_self=exclude_self, sview=sview, **eval_kw)
+
     # Local tree first (the GPU starts on local work while LETs arrive).
     t0 = now()
     if wcache is not None:
@@ -296,14 +315,8 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
     else:
         pc_g, pc_c, pp_g, pp_c, mf = walk_interaction_lists(tree, gmin, gmax)
     max_frontier = max(max_frontier, mf)
-    lview = SourceView.build(tree, spos=spos, smass=smass) if segment else None
-    evaluate_pc_pairs(acc_sorted, phi_sorted, spos, tree, pc_g, pc_c,
-                      tree.group_first, tree.group_count, eps2,
-                      config.quadrupole, counts_local, sview=lview, **eval_kw)
-    evaluate_pp_pairs(acc_sorted, phi_sorted, spos, spos, smass,
-                      pp_g, pp_c, tree.group_first, tree.group_count,
-                      tree.body_first, tree.body_count, eps2, counts_local,
-                      exclude_self=True, sview=lview, **eval_kw)
+    evaluate(tree, spos, smass, (pc_g, pc_c, pp_g, pp_c), counts_local,
+             exclude_self=True)
     rec("gravity_local", t0, now(), n_particles=n,
         n_pp=counts_local.n_pp, n_pc=counts_local.n_pc,
         quadrupole=config.quadrupole, **bk_attr)
@@ -319,29 +332,19 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
             pg1, pcl1, pg2, pcl2, mf = walk_interaction_lists(
                 source, gmin, gmax)
         max_frontier = max(max_frontier, mf)
-        sview = (SourceView.build(source, spos=source.part_pos,
-                                  smass=source.part_mass)
-                 if segment else None)
-        evaluate_pc_pairs(acc_sorted, phi_sorted, spos, source, pg1, pcl1,
-                          tree.group_first, tree.group_count, eps2,
-                          config.quadrupole, counts_let, sview=sview,
-                          **eval_kw)
-        evaluate_pp_pairs(acc_sorted, phi_sorted, spos, source.part_pos,
-                          source.part_mass, pg2, pcl2,
-                          tree.group_first, tree.group_count,
-                          source.body_first, source.body_count, eps2,
-                          counts_let, exclude_self=False, sview=sview,
-                          **eval_kw)
+        evaluate(source, source.part_pos, source.part_mass,
+                 (pg1, pcl1, pg2, pcl2), counts_let)
         rec("gravity_let", t0, now(), src=src_rank,
             n_pp=counts_let.n_pp - pp0, n_pc=counts_let.n_pc - pc0,
             **bk_attr)
 
     def walk_batch(entries: list) -> None:
         # One frontier pass over every source in the batch (``entries``
-        # is a list of ``(source, rank, kind)`` triples).  Each source's
-        # pair segment is then evaluated separately, in batch order,
-        # with a fresh chunk layout -- accumulation order, and hence
-        # float64 bitwise results, match the per-source path.
+        # is a list of ``(source, rank, kind)`` triples), then one
+        # evaluation of the forest's pair lists: a group's tile spans
+        # the lists of every source in the batch, and each source's part
+        # is summed by itself, in batch order -- accumulation order, and
+        # hence float64 bitwise results, match the per-source path.
         nonlocal max_frontier
         pp0, pc0 = counts_let.n_pp, counts_let.n_pc
         t0 = now()
@@ -351,34 +354,15 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
             fpc_g, fpc_c, fpp_g, fpp_c, mf = walk_forest_interaction_lists(
                 forest, gmin, gmax)
             max_frontier = max(max_frontier, mf)
-            pc_gs, pc_cs, pc_starts = split_by_source(forest, fpc_g, fpc_c)
-            pp_gs, pp_cs, pp_starts = split_by_source(forest, fpp_g, fpp_c)
-            sview = (SourceView.build(forest, spos=forest.part_pos,
-                                      smass=forest.part_mass)
-                     if segment else None)
-            for i in range(forest.n_sources):
-                a, b = pc_starts[i], pc_starts[i + 1]
-                evaluate_pc_pairs(acc_sorted, phi_sorted, spos, forest,
-                                  pc_gs[a:b], pc_cs[a:b],
-                                  tree.group_first, tree.group_count, eps2,
-                                  config.quadrupole, counts_let, sview=sview,
-                                  **eval_kw)
-                a, b = pp_starts[i], pp_starts[i + 1]
-                evaluate_pp_pairs(acc_sorted, phi_sorted, spos,
-                                  forest.part_pos, forest.part_mass,
-                                  pp_gs[a:b], pp_cs[a:b],
-                                  tree.group_first, tree.group_count,
-                                  forest.body_first, forest.body_count, eps2,
-                                  counts_let, exclude_self=False, sview=sview,
-                                  **eval_kw)
+            evaluate(forest, forest.part_pos, forest.part_mass,
+                     (fpc_g, fpc_c, fpp_g, fpp_c), counts_let)
         else:
             # Warm-aware batch: sources with a valid cached visit list
             # retest instead of walking; the misses are concatenated
             # into a sub-forest and walked in one pass (with the opened
-            # visits collected so next step they hit).  Evaluation runs
-            # in original batch order either way, per source, against
-            # the source's own arrays -- bitwise the values the forest
-            # slices hold, in the same accumulation order.
+            # visits collected so next step they hit).  Evaluation is
+            # of the whole batch's forest either way, the per-source
+            # lists shifted to forest cell indices, in batch order.
             lists: list = [None] * len(entries)
             hit = [wcache.has((k, r), s) for (s, r, k) in entries]
             for i, (s, r, k) in enumerate(entries):
@@ -420,22 +404,16 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
                                   (lop_g, lop_c, KIND_OPEN)])
                     wcache.misses += 1
                     lists[i] = (lpc_g, lpc_c, lpp_g, lpp_c)
-            for i, (s, r, k) in enumerate(entries):
-                pg1, pcl1, pg2, pcl2 = lists[i]
-                sview = (SourceView.build(s, spos=s.part_pos,
-                                          smass=s.part_mass)
-                         if segment else None)
-                evaluate_pc_pairs(acc_sorted, phi_sorted, spos, s,
-                                  pg1, pcl1,
-                                  tree.group_first, tree.group_count, eps2,
-                                  config.quadrupole, counts_let, sview=sview,
-                                  **eval_kw)
-                evaluate_pp_pairs(acc_sorted, phi_sorted, spos,
-                                  s.part_pos, s.part_mass, pg2, pcl2,
-                                  tree.group_first, tree.group_count,
-                                  s.body_first, s.body_count, eps2,
-                                  counts_let, exclude_self=False, sview=sview,
-                                  **eval_kw)
+            forest = sub if len(miss) == len(entries) else \
+                SourceForest.concatenate([e[0] for e in entries],
+                                         [e[1] for e in entries])
+            pc_g, pp_g = (np.concatenate([ls[j] for ls in lists])
+                          for j in (0, 2))
+            pc_c, pp_c = (np.concatenate(
+                [ls[j] + off for ls, off in zip(lists, forest.cell_offsets)])
+                for j in (1, 3))
+            evaluate(forest, forest.part_pos, forest.part_mass,
+                     (pc_g, pc_c, pp_g, pp_c), counts_let)
         rec("gravity_let", t0, now(), n_src=len(entries),
             n_pp=counts_let.n_pp - pp0, n_pc=counts_let.n_pc - pc0,
             **bk_attr)
@@ -525,6 +503,8 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
             n_received += 1
             walk_remote(let, ready, "let")
 
+    acc_sorted += acc_pp
+    phi_sorted += phi_pp
     acc = np.empty_like(acc_sorted)
     phi = np.empty_like(phi_sorted)
     acc[tree.order] = acc_sorted
