@@ -109,15 +109,15 @@ ledger:
 
 # Does the ledger still run against this src/?  Every workload cut ~20x,
 # untraced and traced; fails on a non-zero exit or when the traced run
-# reports a gravity.* layer skipped (a call the gate makes into
-# repro.gravity no longer works), then the harness's own tests.
+# reports a gravity.*, sfc.* or octree.* layer skipped (a call the gate
+# makes into those packages no longer works), then the harness's own tests.
 ledger-smoke:
 	set -e; for w in $(LEDGER_WORKLOADS); do for t in 0 1; do \
 		$(LEDGER_RUN) --workload $$w --smoke --trace $$t > ledger_smoke.txt \
 			|| { cat ledger_smoke.txt; exit 1; }; \
 		cat ledger_smoke.txt; \
-		if grep -qE '^gravity\.[a-z_0-9.]+ +skipped' ledger_smoke.txt; then \
-			echo "ledger-smoke: a gravity layer was skipped ($$w, --trace $$t)"; \
+		if grep -E '^(gravity|sfc|octree)\.[a-z_0-9.]+ +skipped' ledger_smoke.txt; then \
+			echo "ledger-smoke: a layer was skipped ($$w, --trace $$t)"; \
 			exit 1; fi; \
 	done; done; rm -f ledger_smoke.txt
 	pytest benchmarks/ledger/test_ledger.py -q

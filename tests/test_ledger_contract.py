@@ -2,8 +2,9 @@
 
 The ledger may not be edited by a change it judges, so a `src/` change
 that breaks one of these calls would only show up as a refused PR.  This
-keeps them in tier-1: one smoke run of a gated workload, and the
-signatures `benchmarks/ledger/replay.py` relies on.
+keeps them in tier-1: a smoke run of the gated serial workload and of the
+front-end one (sfc/octree/LET, no force kernels), and the signatures
+`benchmarks/ledger/replay.py` relies on.
 """
 
 import inspect
@@ -22,17 +23,25 @@ from repro.gravity.treewalk import (evaluate_pc_pairs, evaluate_pp_pairs,
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_ledger_smoke_run_is_correct():
+def _smoke_run(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "ledger" / "run.py"),
-         "--workload", "serial_mw_4k", "--seed", "1", "--smoke",
-         "--trace", "0"],
+         "--workload", workload, "--seed", "1", "--smoke", "--trace", "0"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     assert doc["correct"] is True and doc["failed"] == 0
     assert set(doc["metrics"]) == {"step_s", "cpu_step_s", "setup_s",
                                    "peak_rss_mb"}
+
+
+def test_ledger_smoke_run_is_correct():
+    _smoke_run("serial_mw_4k")
+
+
+def test_ledger_front_end_smoke_run_is_correct():
+    """No force kernels: keys, sort, octree, moments, groups, boundary, LET."""
+    _smoke_run("treepipe_mw_250k")
 
 
 def test_replay_positional_calls_still_bind():

@@ -1,5 +1,7 @@
 """Robustness tests: extreme inputs, failure injection, edge geometries."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -122,11 +124,30 @@ def test_simmpi_one_rank_crashes_others_unblocked():
 
 
 def test_nonfinite_positions_rejected_by_bbox():
-    pos = np.array([[0.0, 0, 0], [np.nan, 1, 1]])
+    """A NaN/inf position raises, naming the particle, instead of turning
+    into an arbitrary key -- on a fresh box and on a pinned one."""
     from repro.sfc import BoundingBox
-    box = BoundingBox.from_positions(pos[:1])
-    keys = box.keys(np.nan_to_num(pos))
-    assert len(keys) == 2  # sanitised input maps fine
+    for bad in (np.nan, np.inf, -np.inf):
+        pos = np.array([[0.0, 0, 0], [0.5, 1, 1], [1.0, bad, 1], [bad, 2, 2]])
+        with pytest.raises(ValueError, match="particle index 2"):
+            BoundingBox.from_positions(pos)
+        box = BoundingBox.from_positions(pos[:2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no "invalid value in cast"
+            for curve in ("hilbert", "morton"):
+                with pytest.raises(ValueError, match="particle index 2"):
+                    box.keys(pos, curve)
+        assert len(box.keys(np.nan_to_num(pos, posinf=9.0, neginf=-9.0))) == 4
+
+
+def test_finite_positions_far_outside_a_pinned_box_still_clip():
+    """...even when their scaled coordinates sum past the float range."""
+    from repro.sfc import BoundingBox
+    box = BoundingBox(origin=np.zeros(3), size=1.0)
+    far = np.full((4, 3), 1.0e301)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(box.keys(far) == box.keys(far[:1]))
 
 
 def test_simulation_with_zero_softening():
