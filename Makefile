@@ -1,5 +1,5 @@
 .PHONY: install test test-faults test-loadbalance test-transport \
-	test-reuse test-health test-backends bench bench-quick bench-step \
+	test-health test-backends bench bench-quick bench-step \
 	bench-transport bench-backends bench-history ledger ledger-smoke \
 	trace flame dashboard clean
 
@@ -42,19 +42,9 @@ test-transport:
 	pytest tests/harness/test_differential.py -k "transport or process"
 	pytest tests/harness/test_faults.py -k "parity or transport or crash"
 
-# Step-coherence suite: incremental octree repair, walk warm-starts and
-# the incremental LET drain (docs/PERFORMANCE.md §5).  Bitwise-equality
-# gates at 1/2/4/8 ranks plus fault schedules against the reuse paths,
-# then the reuse-on/off bench smoke (counts gate hard, wall advisory).
-test-reuse:
-	pytest tests/test_octree_incremental.py tests/test_forest_walk.py \
-	       tests/harness/test_reuse_faults.py \
-	       -m "harness_slow or not harness_slow"
-	pytest benchmarks/bench_step_pipeline.py::test_step_reuse_on_off -q
-
 # Compute-backend registry + equivalence suite (docs/PERFORMANCE.md §6):
 # registry/driver threading, numpy-default bitwise gates, oracle
-# agreement for every backend the host carries (numba/cupy skip when
+# agreement for every backend the host carries (numba skips when
 # absent -- install with `pip install -e .[numba]` to exercise the JIT).
 test-backends:
 	pytest tests/test_gravity_backends.py \
@@ -63,9 +53,9 @@ test-backends:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Fast-path vs reference force pipeline: golden interaction-count check
-# plus the per-phase before/after table (docs/PERFORMANCE.md).  Scale
-# the timed comparison with STEP_BENCH_N / STEP_BENCH_STEPS.
+# Golden interaction-count check: the 4-rank distributed step must
+# reproduce benchmarks/step_pipeline_golden.json exactly
+# (docs/PERFORMANCE.md).
 bench-step:
 	pytest benchmarks/bench_step_pipeline.py -q
 

@@ -8,7 +8,7 @@ achieved Gflop/s and the speedup over the ``numpy`` reference.
 Interaction counts are a walk property no backend may change, so
 ``n_pp``/``n_pc``/``counts_match`` gate hard in the history verdict;
 wall-clock rows are advisory (the CI container is 1-CPU).  On hosts
-without numba/cupy the bench degrades to a numpy-only baseline row --
+without numba the bench degrades to a numpy-only baseline row --
 the ``backend-matrix`` CI job, which pip-installs numba, is where the
 ``numba_speedup_vs_numpy`` trajectory is recorded.
 

@@ -1,34 +1,21 @@
-"""Fast-path force pipeline: end-to-end step speedup and count pinning.
+"""The distributed step at a fixed config: interaction counts and phase times.
 
-Compares the full distributed step (4 SimMPI ranks, clustered Milky-Way
-initial conditions) between the fast path -- batched multi-source forest
-walks, preallocated kernel workspaces with segment reduction, SFC
-sort-order reuse -- and the reference pipeline it replaced
-(one-walk-per-source, ``bincount`` scatter, cold argsort every step).
+Four SimMPI ranks on clustered Milky-Way initial conditions.  Two entry
+points:
 
-Outputs:
-
-- ``benchmarks/results/step_pipeline.txt``: per-phase before/after table
-  with speedups and tracemalloc allocation counts;
-- ``benchmarks/results/BENCH_step.json``: one JSON record appended per
-  recorded run (machine-readable history);
-- a golden interaction-count fixture
-  (``benchmarks/step_pipeline_golden.json``) asserting the fast path
-  changes *nothing* about what is computed -- CI runs the counts check
-  only and never gates on wall-clock.
-
-Environment knobs: ``STEP_BENCH_N`` (particles, default 8000) and
-``STEP_BENCH_STEPS`` (default 2) scale the timed comparison; the
-recorded results were produced with ``STEP_BENCH_N=40000``.
+- :func:`run_bench`, the registered ``step_pipeline`` runner
+  (``python -m repro.obs.bench run step_pipeline``): one run appended
+  to ``benchmarks/history/step_pipeline.jsonl``, counts gating, wall
+  seconds advisory;
+- :func:`test_step_counts_golden`: the interaction counts must equal the
+  committed ``benchmarks/step_pipeline_golden.json`` -- a change to the
+  force pipeline may change *when* things are computed, never *what*.
 """
 
 import json
-import os
 import time
-import tracemalloc
 from pathlib import Path
 
-from conftest import RESULTS_DIR, append_history, write_result
 from repro import SimulationConfig
 from repro.core.parallel_simulation import run_parallel_simulation
 from repro.core.step import TABLE2_PHASES
@@ -38,27 +25,15 @@ from repro.obs.bench import BenchResult, register_bench
 GOLDEN = Path(__file__).resolve().parent / "step_pipeline_golden.json"
 
 N_RANKS = 4
-GOLDEN_N = 4000
-BENCH_N = int(os.environ.get("STEP_BENCH_N", "8000"))
-BENCH_STEPS = int(os.environ.get("STEP_BENCH_STEPS", "2"))
-
-#: The reference pipeline this PR replaced, expressed as config knobs.
-REFERENCE = dict(batch_sources=False, sort_reuse=False,
-                 scatter="bincount", chunk=1 << 21)
 
 
-def _cfg(**kw):
-    base = dict(theta=0.5, softening=0.1, dt=0.1)
-    base.update(kw)
-    return SimulationConfig(**base)
-
-
-def _run(config, n, steps, seed=42, **run_kw):
+def _run(n, steps, seed=42):
     """One timed run; returns (wall, per-phase seconds, counts, peak)."""
     ps = milky_way_model(n, seed=seed)
+    config = SimulationConfig(theta=0.5, softening=0.1, dt=0.1)
     t0 = time.perf_counter()
     sims = run_parallel_simulation(N_RANKS, ps, config, n_steps=steps,
-                                   timeout=3600.0, **run_kw)
+                                   timeout=3600.0)
     wall = time.perf_counter() - t0
     phases = {ph: 0.0 for ph in TABLE2_PHASES}
     n_pp = n_pc = 0
@@ -73,18 +48,17 @@ def _run(config, n, steps, seed=42, **run_kw):
 
 
 @register_bench("step_pipeline",
-                description="fast-path distributed step: interaction "
-                            "counts (gate) and per-phase wall time",
+                description="distributed step: interaction counts (gate) "
+                            "and per-phase wall time",
                 root_artifact="BENCH_step.json")
 def run_bench(n=2000, steps=1, seed=42) -> BenchResult:
-    """Canonical runner: one fast-path run at a fixed, small config.
+    """Canonical runner: one run at a fixed, small config.
 
     The interaction tallies are deterministic at fixed (n, ranks,
     steps, seed) -- they gate; the phase/wall seconds ride along as
     advisory wall metrics.
     """
-    wall, phases, (n_pp, n_pc), max_frontier = _run(_cfg(), n, steps,
-                                                    seed=seed)
+    wall, phases, (n_pp, n_pc), max_frontier = _run(n, steps, seed=seed)
     return BenchResult(
         bench="step_pipeline",
         config={"n": n, "ranks": N_RANKS, "steps": steps, "seed": seed,
@@ -97,176 +71,10 @@ def run_bench(n=2000, steps=1, seed=42) -> BenchResult:
     )
 
 
-def _alloc_stats(config, n=3000):
-    """tracemalloc profile of one warm force evaluation (serial driver,
-    same evaluator hot path): (allocation count, peak bytes)."""
-    from repro import Simulation
-    sim = Simulation(milky_way_model(n, seed=7), config)
-    sim.compute_forces()        # warm-up: workspace + sort cache primed
-    tracemalloc.start()
-    sim.compute_forces()
-    snap = tracemalloc.take_snapshot()
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    n_allocs = sum(st.count for st in snap.statistics("lineno"))
-    return n_allocs, peak
-
-
 def test_step_counts_golden():
-    """CI gate: interaction counts are byte-identical between the fast
-    path and the reference path, and match the committed golden fixture
+    """CI gate: interaction counts match the committed golden fixture
     (no wall-clock assertions -- counts only)."""
-    _, _, fast, _ = _run(_cfg(), GOLDEN_N, 1)
-    _, _, ref, _ = _run(_cfg(**REFERENCE), GOLDEN_N, 1)
-    assert fast == ref
-    if GOLDEN.exists():
-        golden = json.loads(GOLDEN.read_text())
-        assert fast == (golden["n_pp"], golden["n_pc"])
-    else:
-        GOLDEN.write_text(json.dumps(
-            {"n": GOLDEN_N, "ranks": N_RANKS, "steps": 1,
-             "n_pp": fast[0], "n_pc": fast[1]}, indent=2) + "\n")
-
-
-def test_step_pipeline_speedup(results_dir):
-    """Per-phase before/after comparison; records, never gates on time."""
-    ref_wall, ref_ph, ref_counts, _ = _run(_cfg(**REFERENCE),
-                                           BENCH_N, BENCH_STEPS)
-    fast_wall, fast_ph, fast_counts, max_frontier = _run(
-        _cfg(), BENCH_N, BENCH_STEPS)
-    assert fast_counts == ref_counts
-
-    ref_allocs, ref_peak = _alloc_stats(_cfg(**REFERENCE))
-    fast_allocs, fast_peak = _alloc_stats(_cfg())
-
-    lines = [
-        f"Fast-path step pipeline vs reference "
-        f"(N={BENCH_N}, ranks={N_RANKS}, steps={BENCH_STEPS}, MW disk IC)",
-        f"{'phase':18s}{'reference':>12s}{'fast':>12s}{'speedup':>9s}",
-    ]
-    for ph in TABLE2_PHASES:
-        r, f = ref_ph[ph], fast_ph[ph]
-        sp = f"{r / f:8.2f}x" if f > 1e-9 else "      --"
-        lines.append(f"{ph:18s}{r:12.3f}{f:12.3f}{sp}")
-    lines += [
-        f"{'WALL (end-to-end)':18s}{ref_wall:12.3f}{fast_wall:12.3f}"
-        f"{ref_wall / fast_wall:8.2f}x",
-        f"counts identical: pp={fast_counts[0]} pc={fast_counts[1]}",
-        f"max_frontier={max_frontier}",
-        f"tracemalloc one force step (N=3000): "
-        f"reference {ref_allocs} allocs / {ref_peak / 1e6:.1f} MB peak, "
-        f"fast {fast_allocs} allocs / {fast_peak / 1e6:.1f} MB peak",
-    ]
-    write_result("step_pipeline", lines)
-
-    record = {
-        "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "n": BENCH_N, "ranks": N_RANKS, "steps": BENCH_STEPS,
-        "wall_reference_s": round(ref_wall, 3),
-        "wall_fast_s": round(fast_wall, 3),
-        "speedup": round(ref_wall / fast_wall, 3),
-        "phases_reference": {k: round(v, 4) for k, v in ref_ph.items()},
-        "phases_fast": {k: round(v, 4) for k, v in fast_ph.items()},
-        "n_pp": fast_counts[0], "n_pc": fast_counts[1],
-        "max_frontier": max_frontier,
-        "allocs_reference": ref_allocs, "allocs_fast": fast_allocs,
-        "alloc_peak_reference_b": ref_peak, "alloc_peak_fast_b": fast_peak,
-    }
-    bench_json = RESULTS_DIR / "BENCH_step.json"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    history = json.loads(bench_json.read_text()) if bench_json.exists() else []
-    history.append(record)
-    bench_json.write_text(json.dumps(history, indent=2) + "\n")
-
-    append_history(BenchResult(
-        bench="step_pipeline",
-        config={"n": BENCH_N, "ranks": N_RANKS, "steps": BENCH_STEPS,
-                "seed": 42, "pipeline": "fast_vs_reference"},
-        counts={"n_pp": fast_counts[0], "n_pc": fast_counts[1]},
-        wall={"wall_reference_s": ref_wall, "wall_fast_s": fast_wall,
-              "speedup": ref_wall / fast_wall},
-        meta={"max_frontier": max_frontier},
-    ))
-
-    assert ref_wall > 0 and fast_wall > 0
-
-
-#: Step-coherence knobs (docs/PERFORMANCE.md): incremental tree repair,
-#: walk warm-starts, incremental LET drain.  Paired with measured load
-#: balance -- which pins the bounding box between rebalances -- because
-#: a refitted box would force the tree cache cold every step.
-COHERENT = dict(tree_reuse="repair", walk_warm_start=True,
-                let_drain="incremental")
-REUSE_STEPS = int(os.environ.get("REUSE_BENCH_STEPS", "4"))
-REUSE_REPS = int(os.environ.get("REUSE_BENCH_REPS", "2"))
-
-
-def _best_of(config, n, steps, reps, **run_kw):
-    """Best-of-``reps`` wall/per-phase times (elementwise min): thread
-    scheduling noise on shared runners swamps the few-percent phase
-    deltas; the counts must agree across reps exactly."""
-    best_wall = best_ph = counts0 = None
-    for _ in range(reps):
-        wall, ph, counts, _ = _run(config, n, steps, **run_kw)
-        if counts0 is None:
-            counts0 = counts
-        assert counts == counts0
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-        best_ph = ph if best_ph is None else \
-            {k: min(best_ph[k], ph[k]) for k in ph}
-    return best_wall, best_ph, counts0
-
-
-def test_step_reuse_on_off(results_dir):
-    """Reuse-on vs reuse-off rows: interaction counts gate hard (the
-    knobs are pure optimisations), the tree-build/sorting/LET wall
-    seconds ride along as advisory history."""
-    lb = dict(load_balance="measured", lb_source="counts")
-    # The coherent regime: per-step drift below the key-grid resolution
-    # keeps tree topology stable, so repair/warm-start actually engage
-    # (dt=0.01 churns every leaf and the caches correctly fall cold).
-    gentle = dict(dt=1e-4)
-    off_wall, off_ph, off_counts = _best_of(
-        _cfg(**gentle), BENCH_N, REUSE_STEPS, REUSE_REPS, **lb)
-    on_wall, on_ph, on_counts = _best_of(
-        _cfg(**gentle, **COHERENT), BENCH_N, REUSE_STEPS, REUSE_REPS, **lb)
-    assert on_counts == off_counts  # bitwise contract, never relaxed
-
-    def coherence_s(ph):
-        return ph["tree_construction"] + ph["sorting"] + ph["gravity_let"]
-
-    lines = [
-        f"Step coherence (tree_reuse=repair, walk_warm_start, "
-        f"let_drain=incremental) vs off "
-        f"(N={BENCH_N}, ranks={N_RANKS}, steps={REUSE_STEPS}, "
-        f"measured LB, MW disk IC)",
-        f"{'phase':18s}{'reuse off':>12s}{'reuse on':>12s}{'speedup':>9s}",
-    ]
-    for ph in TABLE2_PHASES:
-        r, f = off_ph[ph], on_ph[ph]
-        sp = f"{r / f:8.2f}x" if f > 1e-9 else "      --"
-        lines.append(f"{ph:18s}{r:12.3f}{f:12.3f}{sp}")
-    lines += [
-        f"{'WALL (end-to-end)':18s}{off_wall:12.3f}{on_wall:12.3f}"
-        f"{off_wall / on_wall:8.2f}x",
-        f"counts identical: pp={on_counts[0]} pc={on_counts[1]}",
-    ]
-    write_result("step_reuse", lines)
-
-    append_history(BenchResult(
-        bench="step_pipeline",
-        config={"n": BENCH_N, "ranks": N_RANKS, "steps": REUSE_STEPS,
-                "seed": 42, "dt": 1e-4, "pipeline": "reuse_vs_off"},
-        counts={"n_pp": on_counts[0], "n_pc": on_counts[1]},
-        wall={"wall_off_s": off_wall, "wall_on_s": on_wall,
-              "speedup": off_wall / on_wall,
-              "coherence_off_s": coherence_s(off_ph),
-              "coherence_on_s": coherence_s(on_ph),
-              "tree_off_s": off_ph["tree_construction"],
-              "tree_on_s": on_ph["tree_construction"],
-              "let_off_s": off_ph["gravity_let"],
-              "let_on_s": on_ph["gravity_let"]},
-    ))
-
-    assert off_wall > 0 and on_wall > 0
+    golden = json.loads(GOLDEN.read_text())
+    assert golden["ranks"] == N_RANKS
+    _, _, counts, _ = _run(golden["n"], golden["steps"])
+    assert counts == (golden["n_pp"], golden["n_pc"])

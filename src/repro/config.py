@@ -5,13 +5,11 @@ from __future__ import annotations
 import dataclasses
 
 from .constants import PAPER_NLEAF, PAPER_THETA
-from .gravity.treewalk import DEFAULT_CHUNK, PRECISIONS, SCATTER_MODES
-from .octree.incremental import TREE_REUSE_MODES
+from .gravity.treewalk import DEFAULT_CHUNK, PRECISIONS
 
-#: LET drain orderings for the distributed force phase.  ``auto``
-#: resolves to ``deterministic`` under a deterministic tracer and
-#: ``opportunistic`` otherwise (the pre-knob behaviour).
-LET_DRAIN_MODES = ("auto", "deterministic", "incremental", "opportunistic")
+#: LET drain orderings for the distributed force phase: rank order
+#: (bitwise reproducible) or arrival order.
+LET_DRAIN_MODES = ("incremental", "opportunistic")
 
 
 @dataclasses.dataclass
@@ -33,7 +31,7 @@ class SimulationConfig:
     quadrupole: bool = True
     force_method: str = "tree"       # "tree" or "direct" (O(N^2) oracle)
 
-    # --- Fast-path force pipeline knobs ---------------------------------
+    # --- Force pipeline knobs --------------------------------------------
     #: Elements per (group x list) evaluation tile (cache blocking of the
     #: interaction kernels): a group of m particles takes its list
     #: chunk // m entries at a time.
@@ -41,40 +39,19 @@ class SimulationConfig:
     #: Kernel evaluation dtype: "float64", or "float32" (f32 kernels with
     #: f64 accumulators; bounded by the differential oracle).
     precision: str = "float64"
-    #: Pair-to-target reduction: "segment" (one dense tile per group,
-    #: summed along its list axis) or "bincount" (legacy flat expansion
-    #: with a length-N scatter).
-    scatter: str = "segment"
     #: Compute backend executing the interaction kernels: "numpy" (the
-    #: bitwise float64 reference), "numba" (fused JIT kernels, optional
-    #: dependency) or "cupy" (GPU scaffold) -- or any name registered
-    #: via :func:`repro.gravity.backends.register_backend`.  Walks and
+    #: bitwise float64 reference) or "numba" (fused JIT kernels, optional
+    #: dependency) -- or any name registered via
+    #: :func:`repro.gravity.backends.register_backend`.  Walks and
     #: interaction counts are backend-independent; see
     #: docs/PERFORMANCE.md §6.
     backend: str = "numpy"
-    #: Walk all remote boundary/LET structures in one concatenated
-    #: forest pass instead of one walk per source.
-    batch_sources: bool = True
-    #: Seed each step's tree build with the previous step's SFC sort
-    #: permutation (verified/repaired instead of a cold argsort).
-    sort_reuse: bool = True
-
-    # --- Step-coherence knobs (see docs/PERFORMANCE.md) -----------------
-    #: Cross-step octree reuse: "off" rebuilds cold every step (today's
-    #: behaviour); "repair" diffs the new SFC keys against the cached
-    #: tree and grafts unchanged subtrees
-    #: (:mod:`repro.octree.incremental`).  Bitwise-identical trees
-    #: either way.
-    tree_reuse: str = "off"
-    #: Seed tree walks from the previous step's visit list instead of
-    #: the root (:mod:`repro.gravity.warmstart`).  Forces and
-    #: interaction counts stay bitwise-identical to cold walks.
-    walk_warm_start: bool = False
-    #: LET drain ordering (:data:`LET_DRAIN_MODES`): "incremental"
-    #: walks the boundary batch while LETs are in flight, then drains
-    #: them in rank order -- byte-deterministic *and* bitwise-equal to
-    #: "deterministic" (identical per-source accumulation sequence).
-    let_drain: str = "auto"
+    #: LET drain ordering (:data:`LET_DRAIN_MODES`): "incremental" walks
+    #: the boundary batch while LETs are in flight, then takes the LETs
+    #: in rank order -- overlapped *and* bitwise reproducible run to run
+    #: and across transports; "opportunistic" takes whichever LET has
+    #: arrived, so float64 sums vary in the last bits with arrival order.
+    let_drain: str = "incremental"
 
     # --- Execution substrate --------------------------------------------
     #: SimMPI transport for parallel runs: "threads" (in-process,
@@ -105,21 +82,10 @@ class SimulationConfig:
             raise ValueError("chunk must be >= 1")
         if self.precision not in PRECISIONS:
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.scatter not in SCATTER_MODES:
-            raise ValueError(f"unknown scatter {self.scatter!r}")
-        if self.precision == "float32" and self.scatter != "segment":
-            raise ValueError("precision='float32' requires scatter='segment'")
         from .gravity.backends import registered_backends
         if self.backend not in registered_backends():
             raise ValueError(f"unknown backend {self.backend!r}; "
                              f"registered: {registered_backends()}")
-        if self.backend != "numpy" and self.scatter != "segment":
-            raise ValueError(f"backend={self.backend!r} requires "
-                             f"scatter='segment' (bincount is the numpy "
-                             f"reference path)")
-        if self.tree_reuse not in TREE_REUSE_MODES:
-            raise ValueError(f"unknown tree_reuse {self.tree_reuse!r}; "
-                             f"expected one of {TREE_REUSE_MODES}")
         if self.let_drain not in LET_DRAIN_MODES:
             raise ValueError(f"unknown let_drain {self.let_drain!r}; "
                              f"expected one of {LET_DRAIN_MODES}")

@@ -34,8 +34,6 @@ import numpy as np
 from ..config import SimulationConfig
 from ..gravity.flops import InteractionCounts
 from ..gravity.treewalk import KernelWorkspace
-from ..gravity.warmstart import WalkCache
-from ..octree.incremental import TreeCache
 from ..integrator import EnergyDiagnostics
 from ..obs.tracer import Tracer
 from ..particles import ParticleSet
@@ -172,15 +170,9 @@ class ParallelSimulation:
         from ..gravity.backends import get_backend
         self._backend = get_backend(self.config.backend)
         self._backend.warmup(self.config.precision)
-        # Step-coherence state (docs/PERFORMANCE.md): the incremental
-        # octree cache and walk visit-list cache, plus a layout epoch
-        # bumped whenever the local particle set changes (rebalance /
-        # exchange migration) so no cross-step cache -- including the
-        # sort caches' tie-breaking -- can survive a relayout.
-        self._tree_cache = TreeCache() \
-            if self.config.tree_reuse != "off" else None
-        self._walk_cache = WalkCache() \
-            if self.config.walk_warm_start else None
+        # Layout epoch, bumped whenever the local particle set changes
+        # (rebalance / exchange migration) so the sort caches'
+        # tie-breaking never survives a relayout.
         self._layout_epoch = 0
 
     # -- observability ----------------------------------------------------
@@ -308,13 +300,8 @@ class ParallelSimulation:
         t0 = self._now()
         box, box_changed = self._update_box()
         keys = box.keys(self.particles.pos, self.config.curve)
-        if self.config.sort_reuse:
-            order = self._sort_cache.order_for(keys,
-                                               epoch=self._layout_epoch)
-            sort_mode = self._sort_cache.last_mode
-        else:
-            order = np.argsort(keys, kind="stable")
-            sort_mode = "cold"
+        order = self._sort_cache.order_for(keys, epoch=self._layout_epoch)
+        sort_mode = self._sort_cache.last_mode
         weights = self._weights if self._weights is not None and \
             len(self._weights) == len(order) else None
         if sort_mode != "identity":
@@ -350,14 +337,12 @@ class ParallelSimulation:
             check=self.invariant_checks, return_keys=True)
         # Layout generation: any change to the local particle sequence
         # (migration in/out, or a reorder the exchange introduced)
-        # invalidates every cross-step cache keyed on the old layout.
-        # The epoch tag makes that invalidation explicit instead of
-        # relying on downstream structural checks alone.
+        # invalidates the sort caches' permutations.  The epoch tag
+        # makes that explicit instead of relying on their structural
+        # checks alone.
         if len(self.particles.ids) != len(old_ids) or \
                 not np.array_equal(self.particles.ids, old_ids):
             self._layout_epoch += 1
-            if self._walk_cache is not None:
-                self._walk_cache.bump_epoch()
         if self.invariant_checks:
             from ..testing.invariants import check_ownership
             keys_after = box.keys(self.particles.pos, self.config.curve)
@@ -382,20 +367,15 @@ class ParallelSimulation:
         boundary/LET *build+send* time books under "Unbalance + Other"
         (the paper hides it), the rest map one-to-one.
         """
-        if self._workspace is None and self.config.scatter == "segment":
+        if self._workspace is None:
             self._workspace = self._backend.make_workspace(
                 self.config.chunk, self.config.precision)
         keys, self._keys = self._keys, None
         result = distributed_forces(
             self.comm, self.particles, self.config, self._box,
             step=self.step_count, keys=keys,
-            sort_cache=self._tree_sort_cache if self.config.sort_reuse
-            else None,
-            workspace=self._workspace,
-            sort_epoch=self._layout_epoch,
-            tree_cache=self._tree_cache,
-            walk_cache=self._walk_cache,
-            backend=self._backend)
+            sort_cache=self._tree_sort_cache, workspace=self._workspace,
+            sort_epoch=self._layout_epoch, backend=self._backend)
         self._acc, self._phi = result.acc, result.phi
         self._result = result
         self.recv_wait_seconds += result.recv_wait_seconds

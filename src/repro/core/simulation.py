@@ -23,8 +23,7 @@ from ..config import SimulationConfig
 from ..gravity import KernelWorkspace, tree_forces
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..integrator import EnergyDiagnostics, system_diagnostics
-from ..octree import build_octree, cached_octree, compute_moments, make_groups
-from ..octree.incremental import TreeCache
+from ..octree import build_octree, compute_moments, make_groups
 from ..particles import ParticleSet
 from ..sfc import BoundingBox, SortCache
 from .step import StepBreakdown
@@ -86,15 +85,6 @@ class Simulation:
         self._backend.warmup(self.config.precision)
         self._backend_attr = {} if self._backend.name == "numpy" \
             else {"backend": self._backend.name}
-        # Step-coherence: incremental tree repair (docs/PERFORMANCE.md).
-        # The serial driver refits its bounding box from the particles
-        # every step, so the cache usually falls back cold (a box change
-        # relabels every octant); the knob is honoured for parity and
-        # for fixed-box workloads driven through compute_forces.  Walk
-        # warm-starts are a parallel-driver feature: tree_forces owns
-        # its walk and the serial walk has no LET overlap to hide.
-        self._tree_cache = TreeCache() \
-            if self.config.tree_reuse != "off" else None
 
     def _now(self) -> float:
         """Phase clock: the tracer's when tracing (so trace == breakdown)."""
@@ -147,29 +137,16 @@ class Simulation:
         t0 = self._now()
         box = BoundingBox.from_positions(ps.pos)
         keys = box.keys(ps.pos, cfg.curve)
-        order = self._sort_cache.order_for(keys) if cfg.sort_reuse else None
+        order = self._sort_cache.order_for(keys)
         t1 = self._now()
         bd.sorting += t1 - t0
-        sort_attr = {} if order is None else \
-            {"sort_mode": self._sort_cache.last_mode}
-        self._rec("sorting", t0, t1, **sort_attr)
+        self._rec("sorting", t0, t1, sort_mode=self._sort_cache.last_mode)
 
-        tree_attrs = {}
-        if self._tree_cache is not None:
-            tree = cached_octree(self._tree_cache, ps.pos, nleaf=cfg.nleaf,
-                                 curve=cfg.curve, box=box, keys=keys,
-                                 order=order)
-            st = self._tree_cache.last
-            tree_attrs = {"tree_mode": st.mode,
-                          "tree_churn": round(st.churn, 6),
-                          "tree_cells_repaired": st.cells_active,
-                          "tree_cells_grafted": st.cells_grafted}
-        else:
-            tree = build_octree(ps.pos, nleaf=cfg.nleaf, curve=cfg.curve,
-                                box=box, keys=keys, order=order)
+        tree = build_octree(ps.pos, nleaf=cfg.nleaf, curve=cfg.curve,
+                            box=box, keys=keys, order=order)
         t2 = self._now()
         bd.tree_construction += t2 - t1
-        self._rec("tree_construction", t1, t2, **tree_attrs)
+        self._rec("tree_construction", t1, t2)
 
         compute_moments(tree, ps.pos, ps.mass)
         make_groups(tree, cfg.ncrit)
@@ -177,14 +154,13 @@ class Simulation:
         bd.tree_properties += t3 - t2
         self._rec("tree_properties", t2, t3)
 
-        if self._workspace is None and cfg.scatter == "segment":
+        if self._workspace is None:
             self._workspace = self._backend.make_workspace(cfg.chunk,
                                                            cfg.precision)
         result = tree_forces(tree, ps.pos, ps.mass, theta=cfg.theta,
                              eps=cfg.softening, mac=cfg.mac,
                              quadrupole=cfg.quadrupole,
-                             chunk=cfg.chunk, scatter=cfg.scatter,
-                             precision=cfg.precision,
+                             chunk=cfg.chunk, precision=cfg.precision,
                              workspace=self._workspace,
                              backend=self._backend)
         t4 = self._now()

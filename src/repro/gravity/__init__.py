@@ -7,7 +7,7 @@ group-centric Barnes-Hut tree walk with interaction-count accounting
 identical to Table II's "Particle-Particle" and "Particle-Cell" rows.
 
 Kernel *execution* is pluggable: :mod:`repro.gravity.backends` registers
-compute backends (numpy reference / numba JIT / cupy scaffold) selected
+compute backends (numpy reference / numba JIT) selected
 via ``SimulationConfig.backend``; walks and counts are backend-free.
 """
 
@@ -30,7 +30,6 @@ from .direct import direct_forces
 from .treewalk import (
     DEFAULT_CHUNK,
     PRECISIONS,
-    SCATTER_MODES,
     KernelWorkspace,
     SourceView,
     TreeWalkResult,
@@ -38,12 +37,7 @@ from .treewalk import (
     walk_frontier,
     walk_interaction_lists,
 )
-from .forest import (
-    SourceForest,
-    split_by_source,
-    walk_forest_interaction_lists,
-)
-from .warmstart import WalkCache, structure_levels, warm_walk
+from .forest import SourceForest, walk_forest_interaction_lists
 
 __all__ = [
     "FLOPS_PER_PP",
@@ -60,14 +54,9 @@ __all__ = [
     "KernelWorkspace",
     "SourceView",
     "DEFAULT_CHUNK",
-    "SCATTER_MODES",
     "PRECISIONS",
     "SourceForest",
     "walk_forest_interaction_lists",
-    "split_by_source",
-    "WalkCache",
-    "warm_walk",
-    "structure_levels",
     "BackendUnavailable",
     "ComputeBackend",
     "available_backends",

@@ -6,9 +6,7 @@ accumulated forces.  ``SimulationConfig.backend`` selects one by name:
 - ``"numpy"`` -- the workspace ufunc kernels, unchanged: the bitwise
   float64 reference and the default (:mod:`.numpy_backend`);
 - ``"numba"`` -- fused ``@njit(cache=True)`` loop nests, optional
-  dependency ``pip install repro[numba]`` (:mod:`.numba_backend`);
-- ``"cupy"`` -- GPU scaffold, optional dependency
-  ``pip install repro[cuda]`` (:mod:`.cupy_backend`).
+  dependency ``pip install repro[numba]`` (:mod:`.numba_backend`).
 
 Registry rules: registration is by ``backend.name`` and never imports
 the backend's runtime; :func:`get_backend` raises ``ValueError`` for
@@ -23,7 +21,6 @@ from __future__ import annotations
 import re
 
 from .base import BackendUnavailable, ComputeBackend
-from .cupy_backend import CupyBackend
 from .numba_backend import JitWorkspace, NumbaBackend
 from .numpy_backend import NumpyBackend
 
@@ -89,12 +86,10 @@ def get_backend(name) -> ComputeBackend:
 
 register_backend(NumpyBackend())
 register_backend(NumbaBackend())
-register_backend(CupyBackend())
 
 __all__ = [
     "BackendUnavailable",
     "ComputeBackend",
-    "CupyBackend",
     "JitWorkspace",
     "NumbaBackend",
     "NumpyBackend",

@@ -25,7 +25,7 @@ The contract every backend must honour:
   target order; lower-precision kernels upcast on accumulation, as the
   paper's single-precision GPU kernels do.
 - **no eager heavy imports.**  Constructing or registering a backend
-  must not import its runtime (numba, cupy): probing happens in
+  must not import its runtime (numba): probing happens in
   ``available()`` via ``importlib.util.find_spec`` and the import is
   deferred to first use, so hosts without the package pay nothing and
   skip cleanly.
@@ -42,7 +42,7 @@ class BackendUnavailable(RuntimeError):
     """Requested compute backend's runtime is not usable on this host.
 
     Raised by :func:`repro.gravity.backends.get_backend` with the
-    backend's own diagnosis (package missing, no CUDA device, ...).
+    backend's own diagnosis (package missing, ...).
     """
 
 
@@ -50,8 +50,7 @@ def module_missing(module: str) -> str | None:
     """``None`` if ``module`` is importable, else a human reason.
 
     Uses ``find_spec`` so the probe never actually imports the package
-    (numba import alone costs ~1 s; cupy may hard-fail without a
-    driver).
+    (numba import alone costs ~1 s).
     """
     try:
         found = importlib.util.find_spec(module) is not None
@@ -60,7 +59,7 @@ def module_missing(module: str) -> str | None:
     if found:
         return None
     return (f"python package {module!r} is not installed "
-            f"(pip install repro[{'cuda' if module == 'cupy' else module}])")
+            f"(pip install repro[{module}])")
 
 
 class ComputeBackend:

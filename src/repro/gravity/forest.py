@@ -1,27 +1,25 @@
 """Batched multi-source tree walks over a concatenated cell forest.
 
-The distributed force phase (Sec. III-B2) historically ran one frontier
-walk plus one chunked evaluation per remote structure: P-1 boundary/LET
-walks per rank per step, each with a tiny pair list and the full fixed
-cost of a traversal.  A :class:`SourceForest` concatenates any number of
-LET-like structures into one cell array whose roots seed a single
-frontier, so every remote source is walked in one pass -- the "process
-them as they arrive" of the paper collapses to one batch per drain of
-arrived LETs.
+A :class:`SourceForest` concatenates any number of LET-like structures
+(the boundaries or LETs of remote ranks, Sec. III-B2) into one cell
+array whose roots seed a single frontier, so every remote source is
+walked in one pass instead of one traversal -- with its fixed cost and
+tiny pair list -- per source: the "process them as they arrive" of the
+paper is one batch per drain of arrived LETs.
 
 Correctness rests on an ordering property of
 :func:`repro.gravity.treewalk.walk_frontier`: mask selection and
 ``np.repeat`` preserve relative order, so a frontier seeded source-major
 produces pair lists that are the per-source single-walk lists
-interleaved level-major.  :func:`split_by_source` (a stable sort on the
-source id recovered from the cell index) therefore yields each source's
-pairs in *exactly* the order a dedicated walk would have produced.  The
-tile evaluator (:mod:`repro.gravity.treewalk`) makes the same recovery
-from the forest's ``cell_offsets``: handed a forest's pair lists whole,
-it lays each group's list out source after source in one tile and sums
-each source's part by itself, in forest order -- bitwise the same
-forces and byte-identical interaction counts as the per-source path
-(``tests/test_forest_walk.py`` pins this at 1-8 ranks).
+interleaved level-major, and a stable sort on the source id recovered
+from the cell index yields each source's pairs in *exactly* the order a
+dedicated walk would have produced.  The tile evaluator
+(:mod:`repro.gravity.treewalk`) makes that recovery from the forest's
+``cell_offsets``: handed a forest's pair lists whole, it lays each
+group's list out source after source in one tile and sums each source's
+part by itself, in forest order -- bitwise the forces and interaction
+counts of one walk and one evaluation per source
+(``tests/test_forest_walk.py``, ``tests/test_gravity_tiles.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .treewalk import walk_frontier
 class SourceForest:
     """Concatenation of LET-like source structures for one batched walk.
 
-    Cell indices are forest-global: source ``i``'s cells occupy
+    Cell indices are forest-global: source ``i``'s cells are
     ``[cell_offsets[i], cell_offsets[i+1])`` and its root is
     ``cell_offsets[i]``.  ``body_first`` is pre-offset into the
     concatenated ``part_pos``/``part_mass`` arrays, so the forest
@@ -106,15 +104,14 @@ class SourceForest:
 
 
 def walk_forest_interaction_lists(forest: SourceForest,
-                                  gmin: np.ndarray, gmax: np.ndarray,
-                                  open_out: list | None = None
+                                  gmin: np.ndarray, gmax: np.ndarray
                                   ) -> tuple[np.ndarray, np.ndarray,
                                              np.ndarray, np.ndarray, int]:
     """Walk every source of the forest in one frontier pass.
 
     The initial frontier is source-major (for each source in forest
     order: every target group against that source's root), which is
-    what makes :func:`split_by_source` exact.  Returns the same tuple
+    what makes the per-source recovery exact.  Returns the same tuple
     as :func:`~repro.gravity.treewalk.walk_interaction_lists`, with
     forest-global cell indices and the *combined* peak frontier.
     """
@@ -122,25 +119,4 @@ def walk_forest_interaction_lists(forest: SourceForest,
     g = np.tile(np.arange(n_groups, dtype=np.int64), forest.n_sources)
     c = np.repeat(forest.cell_offsets[:-1], n_groups)
     return walk_frontier(forest.first_child, forest.n_children,
-                         forest.com, forest.r_crit, gmin, gmax, g, c,
-                         open_out=open_out)
-
-
-def split_by_source(forest: SourceForest, pg: np.ndarray, pc: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable-partition a forest pair list by source.
-
-    Returns ``(pg_sorted, pc_sorted, starts)`` where source ``i``'s
-    pairs are ``[starts[i], starts[i+1])`` -- in exactly the order a
-    dedicated single-source walk would have produced them (level-major,
-    ascending in ``g`` within each level).
-    """
-    if len(pg) == 0:
-        starts = np.zeros(forest.n_sources + 1, dtype=np.int64)
-        return pg, pc, starts
-    src = np.searchsorted(forest.cell_offsets, pc, side="right") - 1
-    order = np.argsort(src, kind="stable")
-    src_sorted = src[order]
-    starts = np.searchsorted(
-        src_sorted, np.arange(forest.n_sources + 1, dtype=np.int64))
-    return pg[order], pc[order], starts
+                         forest.com, forest.r_crit, gmin, gmax, g, c)

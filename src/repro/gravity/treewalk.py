@@ -17,36 +17,28 @@ each received LET through this function and sums the partial forces.
 :mod:`repro.gravity.forest` batches many remote structures into a single
 walk over a concatenated cell forest.
 
-Two evaluation strategies are provided (``scatter=``):
+Evaluation: pairs are stable-sorted by group once.  A group's ``m``
+targets are a contiguous slice of the sorted target columns (no gather);
+its ``k`` list entries are gathered once per operand row (``O(m + k)``
+elements, not ``O(m k)``); the separations ``src[None, :] -
+tgt[:, None]`` are written straight into ``(m, k)`` views of a
+preallocated :class:`KernelWorkspace`; the in-place kernels run on the
+tile with mass / quadrupole rows broadcast, never materialised; and the
+tile is summed along the list axis in float64 into the group's slice of
+the accumulators.  ``chunk`` bounds the elements per tile: a longer list
+is split along the list axis.  The cost of a tile is ~90 ufunc calls
+whatever its size, so the evaluator is fast where ``m k`` is large: over
+a forest of sources (:mod:`repro.gravity.forest`) a group's list is the
+sources' lists laid end to end in one tile, each source's part summed by
+itself so the result is bitwise that of one evaluation per source.
+``precision="float32"`` evaluates in single precision with float64
+accumulators.
 
-``"segment"`` (default, the fast path)
-    Pairs are stable-sorted by group once.  A group's ``m`` targets are
-    a contiguous slice of the sorted target columns (no gather); its
-    ``k`` list entries are gathered once per operand row (``O(m + k)``
-    elements, not ``O(m k)``); the separations ``src[None, :] -
-    tgt[:, None]`` are written straight into ``(m, k)`` views of a
-    preallocated :class:`KernelWorkspace`; the in-place kernels run on
-    the tile with mass / quadrupole rows broadcast, never materialised;
-    and the tile is summed along the list axis in float64 into the
-    group's slice of the accumulators.  ``chunk`` bounds the elements
-    per tile: a longer list is split along the list axis.  The cost of
-    a tile is ~90 ufunc calls whatever its size, so the evaluator is
-    fast where ``m k`` is large: over a forest of sources
-    (:mod:`repro.gravity.forest`) a group's list is the sources' lists
-    laid end to end in one tile, each source's part summed by itself so
-    the result is bitwise that of one evaluation per source.  Supports
-    float32 evaluation with float64 accumulators.
-
-``"bincount"`` (the pre-optimisation baseline)
-    The original allocating evaluators -- every (particle, source) pair
-    expanded into a flat row, four length-N ``bincount`` passes per
-    chunk -- kept for A/B benchmarking
-    (``benchmarks/bench_step_pipeline.py``) and as the reference
-    implementation the tile evaluator is tested against.
-
-Interaction *counts* are identical between the two: they are a property
-of the walk's pair lists, which neither strategy touches.  Forces agree
-to summation order (``rtol=1e-12`` in ``tests/test_forest_walk.py``).
+Interaction *counts* are a property of the walk's pair lists, which the
+evaluator does not touch.  The flat (particle, source) pair expansion
+this replaced lives on as the test oracle
+(``tests/flat_pair_oracle.py``); forces agree to summation order
+(``rtol=1e-12``).
 """
 
 from __future__ import annotations
@@ -58,22 +50,13 @@ import numpy as np
 from ..octree import Octree, compute_opening_radii
 from ..octree.properties import aabb_distance
 from .flops import InteractionCounts
-from .kernels import (
-    pc_interactions,
-    pc_interactions_ws,
-    pp_interactions,
-    pp_interactions_ws,
-)
+from .kernels import pc_interactions_ws, pp_interactions_ws
 
-#: Upper bound on the elements of one (group x list) evaluation tile
-#: (and on the expanded pairs per chunk of the ``bincount`` reference).
+#: Upper bound on the elements of one (group x list) evaluation tile.
 #: Sized so the workspace's twelve tile buffers stay cache-resident.
 DEFAULT_CHUNK = 1 << 15
 
-#: Evaluation scatter strategies (see module docstring).
-SCATTER_MODES = ("segment", "bincount")
-
-#: Evaluation precisions for the segment path.
+#: Evaluation precisions.
 PRECISIONS = ("float64", "float32")
 
 
@@ -217,8 +200,7 @@ def group_aabbs(tree: Octree, spos: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def walk_frontier(first_child: np.ndarray, n_children: np.ndarray,
                   com: np.ndarray, r_crit: np.ndarray,
                   gmin: np.ndarray, gmax: np.ndarray,
-                  g: np.ndarray, c: np.ndarray,
-                  open_out: list | None = None
+                  g: np.ndarray, c: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Drive a (group, cell) frontier to completion.
 
@@ -230,11 +212,6 @@ def walk_frontier(first_child: np.ndarray, n_children: np.ndarray,
     stable sort by source id recovers each source's single-walk pair
     order exactly (the batched-walk equivalence the fast path relies
     on).
-
-    ``open_out``, when given, collects every *opened* (group, cell)
-    visit as ``(og, oc)`` array pairs, one per frontier iteration --
-    together with the pc/pp lists this is the walk's complete visit set,
-    which :mod:`repro.gravity.warmstart` caches to seed the next step.
     """
     pc_g_parts: list[np.ndarray] = []
     pc_c_parts: list[np.ndarray] = []
@@ -260,8 +237,6 @@ def walk_frontier(first_child: np.ndarray, n_children: np.ndarray,
             pp_c_parts.append(c[take_pp])
 
         if open_.any():
-            if open_out is not None:
-                open_out.append((g[open_], c[open_]))
             og = g[open_]
             oc = c[open_]
             nch = n_children[oc]
@@ -279,8 +254,7 @@ def walk_frontier(first_child: np.ndarray, n_children: np.ndarray,
     return cat(pc_g_parts), cat(pc_c_parts), cat(pp_g_parts), cat(pp_c_parts), max_frontier
 
 
-def walk_interaction_lists(source, gmin: np.ndarray, gmax: np.ndarray,
-                           open_out: list | None = None
+def walk_interaction_lists(source, gmin: np.ndarray, gmax: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Walk ``source`` once per target group, building interaction pairs.
 
@@ -307,8 +281,7 @@ def walk_interaction_lists(source, gmin: np.ndarray, gmax: np.ndarray,
     g = np.arange(n_groups, dtype=np.int64)
     c = np.zeros(n_groups, dtype=np.int64)
     return walk_frontier(source.first_child, source.n_children,
-                         source.com, source.r_crit, gmin, gmax, g, c,
-                         open_out=open_out)
+                         source.com, source.r_crit, gmin, gmax, g, c)
 
 
 def _expand_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -321,92 +294,8 @@ def _expand_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return first[reps] + offs
 
 
-def _bounded_slices(sizes: np.ndarray, chunk: int):
-    """Yield pair-list slices ``(a, b)`` that each expand to ~chunk rows."""
-    cum = np.cumsum(sizes)
-    splits = np.searchsorted(cum, np.arange(chunk, int(cum[-1]), chunk),
-                             side="left") + 1
-    starts = np.concatenate(([0], splits, [len(sizes)]))
-    for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
-        if a < b:
-            yield a, b
-
-
 # ---------------------------------------------------------------------------
-# Baseline evaluators ("bincount"): the pre-optimisation implementation,
-# kept verbatim for A/B benchmarking against the segment fast path.
-# ---------------------------------------------------------------------------
-
-def _evaluate_pc_bincount(acc: np.ndarray, phi: np.ndarray,
-                          tpos: np.ndarray, source,
-                          pc_g: np.ndarray, pc_c: np.ndarray,
-                          group_first: np.ndarray, group_count: np.ndarray,
-                          eps2: float, quadrupole: bool,
-                          counts: InteractionCounts, chunk: int) -> None:
-    n = len(tpos)
-    sizes = group_count[pc_g]
-    counts.n_pc += int(sizes.sum())
-    for a, b in _bounded_slices(sizes, chunk):
-        gs = pc_g[a:b]
-        cs = pc_c[a:b]
-        reps = group_count[gs]
-        p = _expand_ranges(group_first[gs], reps)
-        cell = np.repeat(cs, reps)
-        dx = source.com[cell, 0] - tpos[p, 0]
-        dy = source.com[cell, 1] - tpos[p, 1]
-        dz = source.com[cell, 2] - tpos[p, 2]
-        m = source.mass[cell]
-        quad = source.quad[cell] if quadrupole else None
-        ax, ay, az, ph = pc_interactions(dx, dy, dz, m, quad, eps2)
-        acc[:, 0] += np.bincount(p, weights=ax, minlength=n)
-        acc[:, 1] += np.bincount(p, weights=ay, minlength=n)
-        acc[:, 2] += np.bincount(p, weights=az, minlength=n)
-        phi += np.bincount(p, weights=ph, minlength=n)
-
-
-def _evaluate_pp_bincount(acc: np.ndarray, phi: np.ndarray,
-                          tpos: np.ndarray,
-                          spos: np.ndarray, smass: np.ndarray,
-                          pp_g: np.ndarray, pp_c: np.ndarray,
-                          group_first: np.ndarray, group_count: np.ndarray,
-                          body_first: np.ndarray, body_count: np.ndarray,
-                          eps2: float, counts: InteractionCounts,
-                          exclude_self: bool, chunk: int) -> None:
-    n = len(tpos)
-    gc = group_count[pp_g]
-    bc = body_count[pp_c]
-    sizes = (gc * bc).astype(np.int64)
-    counts.n_pp += int(sizes.sum())
-    for a, b in _bounded_slices(sizes, chunk):
-        gs = pp_g[a:b]
-        cs = pp_c[a:b]
-        gcs = group_count[gs]
-        bcs = body_count[cs]
-        sz = (gcs * bcs).astype(np.int64)
-        total = int(sz.sum())
-        pair = np.repeat(np.arange(len(gs), dtype=np.int64), sz)
-        off = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(sz) - sz, sz)
-        bcp = bcs[pair]
-        t = group_first[gs][pair] + off // bcp
-        s = body_first[cs][pair] + off % bcp
-        dx = spos[s, 0] - tpos[t, 0]
-        dy = spos[s, 1] - tpos[t, 1]
-        dz = spos[s, 2] - tpos[t, 2]
-        m = smass[s]
-        if exclude_self:
-            m = np.where(t == s, 0.0, m)
-        ax, ay, az, ph = pp_interactions(dx, dy, dz, m, eps2)
-        if exclude_self and eps2 == 0.0:
-            self_pair = t == s
-            ax[self_pair] = ay[self_pair] = az[self_pair] = ph[self_pair] = 0.0
-        acc[:, 0] += np.bincount(t, weights=ax, minlength=n)
-        acc[:, 1] += np.bincount(t, weights=ay, minlength=n)
-        acc[:, 2] += np.bincount(t, weights=az, minlength=n)
-        phi += np.bincount(t, weights=ph, minlength=n)
-
-
-# ---------------------------------------------------------------------------
-# Fast-path evaluators ("segment"): one dense (group x list) tile per group.
+# Tile evaluators: one dense (group x list) tile per group.
 # ---------------------------------------------------------------------------
 
 def _group_runs(pg: np.ndarray, pc: np.ndarray,
@@ -549,24 +438,8 @@ def _evaluate_pp_tiles(accx, accy, accz, accp,
 
 
 # ---------------------------------------------------------------------------
-# Public evaluators: dispatch on scatter strategy.
+# Public evaluators: resolve the backend and the reusable views.
 # ---------------------------------------------------------------------------
-
-def _resolve_eval_backend(backend, scatter: str):
-    """Resolve the backend knob for one evaluator call.
-
-    The ``bincount`` reference scatter predates the registry and is
-    numpy-only; any other backend must use the segment path (also
-    enforced by ``SimulationConfig.__post_init__``).
-    """
-    from .backends import NumpyBackend, get_backend
-    be = get_backend(backend)
-    if scatter == "bincount" and not isinstance(be, NumpyBackend):
-        raise ValueError(
-            f"scatter='bincount' is the numpy reference path; "
-            f"backend {be.name!r} requires scatter='segment'")
-    return be
-
 
 def evaluate_pc_pairs(acc: np.ndarray, phi: np.ndarray,
                       tpos: np.ndarray, source,
@@ -575,7 +448,6 @@ def evaluate_pc_pairs(acc: np.ndarray, phi: np.ndarray,
                       eps2: float, quadrupole: bool,
                       counts: InteractionCounts,
                       chunk: int = DEFAULT_CHUNK,
-                      scatter: str = "segment",
                       workspace: KernelWorkspace | None = None,
                       sview: SourceView | None = None,
                       tview=None,
@@ -588,12 +460,8 @@ def evaluate_pc_pairs(acc: np.ndarray, phi: np.ndarray,
     """
     if len(pc_g) == 0:
         return
-    be = _resolve_eval_backend(backend, scatter)
-    if scatter == "bincount":
-        _evaluate_pc_bincount(acc, phi, tpos, source, pc_g, pc_c,
-                              group_first, group_count, eps2, quadrupole,
-                              counts, chunk)
-        return
+    from .backends import get_backend
+    be = get_backend(backend)
     ws = workspace if workspace is not None else be.make_workspace(chunk)
     sv = sview if sview is not None else SourceView.build(source)
     tv = tview if tview is not None else target_columns(tpos)
@@ -612,7 +480,6 @@ def evaluate_pp_pairs(acc: np.ndarray, phi: np.ndarray,
                       counts: InteractionCounts,
                       exclude_self: bool,
                       chunk: int = DEFAULT_CHUNK,
-                      scatter: str = "segment",
                       workspace: KernelWorkspace | None = None,
                       sview: SourceView | None = None,
                       tview=None,
@@ -626,12 +493,8 @@ def evaluate_pp_pairs(acc: np.ndarray, phi: np.ndarray,
     """
     if len(pp_g) == 0:
         return
-    be = _resolve_eval_backend(backend, scatter)
-    if scatter == "bincount":
-        _evaluate_pp_bincount(acc, phi, tpos, spos, smass, pp_g, pp_c,
-                              group_first, group_count, body_first,
-                              body_count, eps2, counts, exclude_self, chunk)
-        return
+    from .backends import get_backend
+    be = get_backend(backend)
     ws = workspace if workspace is not None else be.make_workspace(chunk)
     sv = sview if sview is not None and sview.sx is not None \
         else SourceView.for_particles(spos, smass, body_first, body_count)
@@ -648,7 +511,6 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
                 source_pos: np.ndarray | None = None,
                 source_mass: np.ndarray | None = None,
                 chunk: int = DEFAULT_CHUNK,
-                scatter: str = "segment",
                 precision: str = "float64",
                 workspace: KernelWorkspace | None = None,
                 backend="numpy") -> TreeWalkResult:
@@ -670,10 +532,10 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
         Plummer softening length.
     quadrupole:
         Evaluate quadrupole corrections (65-flop kernel) or monopole only.
-    chunk, scatter, precision, workspace:
-        Evaluation strategy knobs (see module docstring).  A provided
-        ``workspace`` overrides ``precision``; reuse one across calls to
-        keep steady-state evaluation allocation-free.
+    chunk, precision, workspace:
+        Tile size and evaluation dtype (see module docstring).  A
+        provided ``workspace`` overrides ``precision``; reuse one across
+        calls to keep steady-state evaluation allocation-free.
     backend:
         Compute-backend name or instance executing the kernels
         (:mod:`repro.gravity.backends`); the walk, the pair lists and
@@ -687,9 +549,6 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
     mass = np.asarray(mass, dtype=np.float64)
     if tree.group_first is None:
         raise ValueError("make_groups must run on the target tree first")
-    if scatter not in SCATTER_MODES:
-        raise ValueError(f"unknown scatter {scatter!r}; "
-                         f"expected one of {SCATTER_MODES}")
 
     self_gravity = source is None
     if self_gravity:
@@ -719,26 +578,23 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
     counts = InteractionCounts(quadrupole=quadrupole)
     eps2 = float(eps) * float(eps)
 
-    be = _resolve_eval_backend(backend, scatter)
-    if scatter == "segment":
-        ws = workspace if workspace is not None \
-            else be.make_workspace(chunk, precision)
-        sv = SourceView.build(source, src_pos_sorted, src_mass_sorted)
-        tv = (sv.sx, sv.sy, sv.sz) if self_gravity else target_columns(tpos)
-    else:
-        ws = sv = tv = None
+    from .backends import get_backend
+    be = get_backend(backend)
+    ws = workspace if workspace is not None \
+        else be.make_workspace(chunk, precision)
+    sv = SourceView.build(source, src_pos_sorted, src_mass_sorted)
+    tv = (sv.sx, sv.sy, sv.sz) if self_gravity else target_columns(tpos)
 
     evaluate_pc_pairs(acc_sorted, phi_sorted, tpos, source, pc_g, pc_c,
                       tree.group_first, tree.group_count, eps2, quadrupole,
-                      counts, chunk, scatter=scatter, workspace=ws,
-                      sview=sv, tview=tv, backend=be)
+                      counts, chunk, workspace=ws, sview=sv, tview=tv,
+                      backend=be)
     evaluate_pp_pairs(acc_sorted, phi_sorted, tpos, src_pos_sorted,
                       src_mass_sorted, pp_g, pp_c,
                       tree.group_first, tree.group_count,
                       source.body_first, source.body_count, eps2,
                       counts, exclude_self=self_gravity, chunk=chunk,
-                      scatter=scatter, workspace=ws, sview=sv, tview=tv,
-                      backend=be)
+                      workspace=ws, sview=sv, tview=tv, backend=be)
 
     # Scatter back to the original particle order.
     acc = np.empty_like(acc_sorted)

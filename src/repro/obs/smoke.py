@@ -45,12 +45,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--virtual-clock", action="store_true",
                         help="deterministic logical timestamps instead of "
                              "wall time (byte-reproducible trace)")
-    parser.add_argument("--reference-pipeline", action="store_true",
-                        help="run the pre-fast-path force pipeline "
-                             "(per-source walks, bincount scatter, cold "
-                             "sorts) instead of the default fast path -- "
-                             "diff the two traces with repro.obs.report "
-                             "(docs/PERFORMANCE.md)")
     args = parser.parse_args(argv)
 
     clock = VirtualClock() if args.virtual_clock else None
@@ -60,13 +54,8 @@ def main(argv: list[str] | None = None) -> int:
     tracer = Tracer(clock=clock, sink=sinks)
     world = SimWorld(args.ranks)
     particles = plummer_model(args.n, seed=args.seed)
-    if args.reference_pipeline:
-        config = SimulationConfig(theta=args.theta, batch_sources=False,
-                                  sort_reuse=False, scatter="bincount",
-                                  chunk=1 << 21)
-    else:
-        config = SimulationConfig(theta=args.theta)
-    sims = run_parallel_simulation(args.ranks, particles, config,
+    sims = run_parallel_simulation(args.ranks, particles,
+                                   SimulationConfig(theta=args.theta),
                                    n_steps=args.steps, world=world,
                                    trace=tracer)
 

@@ -9,7 +9,6 @@ opening radii for the multipole acceptance criterion, and particle
 
 from .tree import Octree
 from .build import build_octree
-from .incremental import TREE_MODES, TREE_REUSE_MODES, TreeCache, TreeRepairStats, cached_octree
 from .moments import compute_moments
 from .properties import compute_opening_radii
 from .groups import make_groups
@@ -17,11 +16,6 @@ from .groups import make_groups
 __all__ = [
     "Octree",
     "build_octree",
-    "cached_octree",
-    "TreeCache",
-    "TreeRepairStats",
-    "TREE_MODES",
-    "TREE_REUSE_MODES",
     "compute_moments",
     "compute_opening_radii",
     "make_groups",

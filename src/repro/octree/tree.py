@@ -13,7 +13,7 @@ from ..sfc import BoundingBox
 class Octree:
     """A linear (array-based) sparse octree over SFC-sorted particles.
 
-    Cells are stored level-contiguously: all cells of level L occupy a
+    Cells are stored level-contiguously: all cells of level L form a
     contiguous index range, children of one parent are adjacent, and the
     root is cell 0.  Particle ranges refer to the *sorted* particle order
     (``order`` maps sorted index -> original index).

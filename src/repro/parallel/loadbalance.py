@@ -35,6 +35,13 @@ def cut_weighted_with_cap(keys: np.ndarray, cost: np.ndarray, n_domains: int,
     (n_domains + 1,) uint64 boundary keys: domain d owns keys in
     ``[boundaries[d], boundaries[d+1])``; the first entry is 0 and the
     last is the maximum key value.
+
+    Cost guarantee (uncapped): a cut goes before the sample that crosses
+    the running target, and the shortfall (< c_max) is re-spread over
+    the domains still to cut, so domain ``i`` (0-based) costs at most
+    ``total/p + c_max * sum_{k=1..i} 1/(p-k)`` -- the last domain
+    ``total/p + c_max * H_{p-1}`` -- or ``c_max`` where one sample is a
+    domain by itself (``tests/harness/test_loadbalance_properties.py``).
     """
     keys = np.asarray(keys, dtype=np.uint64)
     cost = np.asarray(cost, dtype=np.float64)

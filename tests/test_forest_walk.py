@@ -1,29 +1,28 @@
-"""Fast-path force pipeline equivalence: batched forest walks, segment
-scatter, float32 evaluation and the sort cache.
+"""The distributed force pipeline: batched forest walks, tile evaluation,
+float32 kernels and the two LET drains.
 
-The tentpole invariant: every fast-path knob is a pure optimisation.
-In float64 the batched multi-source walk must produce *byte-identical*
-interaction counts and *bitwise-equal* forces to the reference
-one-walk-per-source path (under the deterministic tracer, which fixes
-LET arrival order for both); float32 is bounded by the theta-scaled
-differential envelope.
+Float64 forces from the default (``"incremental"``) drain are bitwise
+reproducible run to run and across transports with no tracer attached;
+the forest walk's pair lists are exactly the per-source walks'; the tile
+evaluator agrees with the flat-pair oracle to summation order; float32
+and the arrival-order drain are bounded by the theta-scaled differential
+envelope.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro import SimulationConfig
-from repro.core.parallel_simulation import ParallelSimulation
-from repro.gravity import (
-    SourceForest,
-    split_by_source,
-    tree_forces,
-    walk_interaction_lists,
+from repro.core.parallel_simulation import (
+    ParallelSimulation,
+    run_parallel_simulation,
 )
+from repro.gravity import SourceForest, tree_forces, walk_interaction_lists
 from repro.gravity.forest import walk_forest_interaction_lists
 from repro.gravity.treewalk import group_aabbs
 from repro.ics import plummer_model
-from repro.obs import Tracer, VirtualClock
 from repro.octree import (
     build_octree,
     compute_moments,
@@ -32,8 +31,14 @@ from repro.octree import (
 )
 from repro.parallel import boundary_structure
 from repro.sfc import BoundingBox
-from repro.simmpi import SimWorld, spmd_run
-from repro.testing.differential import max_rel_difference
+from repro.simmpi import spmd_run
+from repro.testing.differential import (
+    max_rel_difference,
+    parallel_forces,
+    serial_forces,
+)
+
+from .flat_pair_oracle import flat_tree_forces, split_by_source
 
 N = 1024
 
@@ -44,94 +49,81 @@ def _cfg(**kw):
     return SimulationConfig(**base)
 
 
-def _forces(particles, config, n_ranks, steps=0, load_balance="flops"):
-    """One traced distributed force evaluation (+ optional steps).
-
-    The deterministic virtual clock fixes LET consumption order, so two
-    configurations that promise bitwise-equal forces can be compared
-    exactly.  Returns id-ordered (acc, phi), per-rank count tuples and
-    the per-rank peak frontier widths.
-    """
+def _forces(particles, config, n_ranks):
+    """One distributed force evaluation: id-ordered ``acc``, ``phi`` and
+    the per-rank (local pp, local pc, LET pp, LET pc) count tuples."""
     n = particles.n
-    world = SimWorld(n_ranks)
-    world.attach_tracer(Tracer(clock=VirtualClock()))
 
     def prog(comm):
         lo = n * comm.rank // comm.size
         hi = n * (comm.rank + 1) // comm.size
         sim = ParallelSimulation(comm, particles.select(np.arange(lo, hi)),
-                                 config, load_balance=load_balance)
+                                 config)
         sim.prime()
-        for _ in range(steps):
-            sim.step()
         r = sim._result
         return (sim.particles.ids, sim._acc, sim._phi,
                 (r.counts_local.n_pp, r.counts_local.n_pc,
-                 r.counts_let.n_pp, r.counts_let.n_pc),
-                r.max_frontier)
+                 r.counts_let.n_pp, r.counts_let.n_pc))
 
-    results = spmd_run(n_ranks, prog, world=world, timeout=300.0)
-    ids = np.concatenate([r[0] for r in results])
-    order = np.argsort(ids, kind="stable")
-    acc = np.concatenate([r[1] for r in results])[order]
-    phi = np.concatenate([r[2] for r in results])[order]
-    counts = [r[3] for r in results]
-    frontiers = [r[4] for r in results]
-    return acc, phi, counts, frontiers
+    results = spmd_run(n_ranks, prog, timeout=300.0)
+    order = np.argsort(np.concatenate([r[0] for r in results]),
+                       kind="stable")
+    return (np.concatenate([r[1] for r in results])[order],
+            np.concatenate([r[2] for r in results])[order],
+            [r[3] for r in results])
 
 
-# -- batched forest vs per-source walks (the tentpole) --------------------
+# -- the default config is bitwise reproducible, untraced -------------------
 
-@pytest.mark.parametrize("n_ranks", [1, 2, 4, 8])
-def test_batched_forest_bitwise_matches_per_source(n_ranks):
-    particles = plummer_model(N, seed=11)
-    ref = _forces(particles, _cfg(batch_sources=False), n_ranks)
-    fast = _forces(particles, _cfg(batch_sources=True), n_ranks)
-    assert fast[2] == ref[2]                      # counts byte-identical
-    assert fast[0].tobytes() == ref[0].tobytes()  # forces bitwise equal
-    assert fast[1].tobytes() == ref[1].tobytes()
-    assert all(f >= 1 for f in fast[3])
-
-
-def test_batched_forest_matches_after_steps():
-    # Multiple steps: the comparison also covers sort-cache reuse and the
-    # keys carried through the exchange.
-    particles = plummer_model(N, seed=12)
-    ref = _forces(particles, _cfg(batch_sources=False), 4, steps=2)
-    fast = _forces(particles, _cfg(batch_sources=True), 4, steps=2)
-    assert fast[2] == ref[2]
-    assert fast[0].tobytes() == ref[0].tobytes()
+def _untraced(particles, config, n_ranks, transport):
+    """Two steps with no tracer attached; id-ordered (acc, phi) bytes and
+    the per-rank, per-step interaction counts."""
+    res = run_parallel_simulation(n_ranks, particles.copy(), config,
+                                  n_steps=2, transport=transport,
+                                  timeout=300.0)
+    order = np.argsort(np.concatenate([r.particles.ids for r in res]),
+                       kind="stable")
+    acc = np.concatenate([r.acc for r in res])[order]
+    phi = np.concatenate([r.phi for r in res])[order]
+    counts = [tuple((bd.counts.n_pp, bd.counts.n_pc) for bd in r.history)
+              for r in res]
+    return acc.tobytes(), phi.tobytes(), counts
 
 
-def test_segment_scatter_matches_bincount_counts_exactly():
-    particles = plummer_model(N, seed=13)
-    seg = _forces(particles, _cfg(scatter="segment"), 4)
-    binc = _forces(particles, _cfg(scatter="bincount", batch_sources=True), 4)
-    assert seg[2] == binc[2]
-    # Different summation order: equal to tight tolerance, not bitwise.
-    np.testing.assert_allclose(seg[0], binc[0], rtol=1e-12, atol=1e-13)
+@pytest.mark.parametrize("n_ranks", [2, 4])
+def test_default_config_untraced_is_bitwise_reproducible(n_ranks):
+    """The rank-order drain fixes the accumulation sequence, so forces
+    do not depend on LET arrival order: identical bytes run to run and
+    threads == process, with no virtual clock to serialise anything."""
+    particles = plummer_model(512, seed=28)
+    first = _untraced(particles, _cfg(), n_ranks, "threads")
+    assert _untraced(particles, _cfg(), n_ranks, "threads") == first
+    assert _untraced(particles, _cfg(), n_ranks, "process") == first
+
+
+def test_opportunistic_drain_inside_theta_envelope():
+    """The arrival-order drain changes the summation order, never what
+    is summed: the walk's counts are the rank-order drain's, and the
+    (untraced, so genuinely racing) forces sit inside the serial
+    oracle's envelope."""
+    particles = plummer_model(N, seed=24)
+    cfg = _cfg(let_drain="opportunistic")
+    assert _forces(particles, cfg, 4)[2] == _forces(particles, _cfg(), 4)[2]
+    acc, _ = parallel_forces(particles, cfg, 4)
+    assert max_rel_difference(acc, serial_forces(particles, cfg)[0]) \
+        < 0.3 * cfg.theta ** 2
 
 
 def test_float32_bounded_by_theta_envelope():
     particles = plummer_model(N, seed=14)
     cfg64 = _cfg(precision="float64")
     cfg32 = _cfg(precision="float32")
-    a64, _, c64, _ = _forces(particles, cfg64, 4)
-    a32, _, c32, _ = _forces(particles, cfg32, 4)
+    a64, _, c64 = _forces(particles, cfg64, 4)
+    a32, _, c32 = _forces(particles, cfg32, 4)
     assert c32 == c64            # precision never changes the walk
     # f32 kernel round-off is orders below the tree's own MAC error;
     # the differential harness's worst-particle envelope bounds it.
     assert max_rel_difference(a32, a64) < 0.3 * cfg64.theta ** 2
-
-
-def test_sort_reuse_off_matches_on():
-    # Plummer keys are distinct, so tie-breaking cannot bite: reusing
-    # the sort permutation must reproduce the cold-sort forces exactly.
-    particles = plummer_model(N, seed=15)
-    on = _forces(particles, _cfg(sort_reuse=True), 2, steps=2)
-    off = _forces(particles, _cfg(sort_reuse=False), 2, steps=2)
-    assert on[2] == off[2]
-    assert on[0].tobytes() == off[0].tobytes()
 
 
 # -- forest walk unit tests ----------------------------------------------
@@ -196,7 +188,7 @@ def test_forest_rejects_zero_sources():
         SourceForest.concatenate([], [])
 
 
-# -- serial fast path -----------------------------------------------------
+# -- serial driver's evaluator --------------------------------------------
 
 def test_serial_segment_matches_bincount():
     rng = np.random.default_rng(3)
@@ -205,8 +197,8 @@ def test_serial_segment_matches_bincount():
     tree = build_octree(pos, nleaf=16)
     compute_moments(tree, pos, mass)
     make_groups(tree, 64)
-    a = tree_forces(tree, pos, mass, theta=0.5, eps=0.01, scatter="segment")
-    b = tree_forces(tree, pos, mass, theta=0.5, eps=0.01, scatter="bincount")
+    a = tree_forces(tree, pos, mass, theta=0.5, eps=0.01)
+    b = flat_tree_forces(tree, pos, mass, theta=0.5, eps=0.01)
     assert a.counts.n_pp == b.counts.n_pp
     assert a.counts.n_pc == b.counts.n_pc
     assert a.max_frontier == b.max_frontier
@@ -216,256 +208,27 @@ def test_serial_segment_matches_bincount():
 
 def test_config_validates_fast_path_knobs():
     with pytest.raises(ValueError):
-        SimulationConfig(scatter="nope")
-    with pytest.raises(ValueError):
         SimulationConfig(precision="float16")
-    with pytest.raises(ValueError):
-        SimulationConfig(precision="float32", scatter="bincount")
     with pytest.raises(ValueError):
         SimulationConfig(chunk=0)
     with pytest.raises(ValueError):
-        SimulationConfig(tree_reuse="rebuildish")
-    with pytest.raises(ValueError):
-        SimulationConfig(let_drain="eventually")
+        SimulationConfig(backend="fortran")
+    for gone in ("auto", "deterministic", "eventually"):
+        with pytest.raises(ValueError):
+            SimulationConfig(let_drain=gone)
+    assert SimulationConfig().let_drain == "incremental"
+    SimulationConfig(let_drain="opportunistic", precision="float32")
+    # A removed knob is a TypeError from the dataclass, not an alias.
+    with pytest.raises(TypeError):
+        SimulationConfig(batch_sources=True)
 
 
-# -- step coherence: tree reuse, walk warm-starts, incremental drain ------
-#
-# Every knob below is a pure optimisation: float64 forces and the
-# n_pp/n_pc interaction counts must be *bitwise identical* to the
-# knob-off run, at every rank count, on every transport.  The reuse
-# paths only engage when they can prove equivalence (structural
-# fingerprints, churn thresholds) -- when they cannot, they fall back
-# cold, and these comparisons hold either way.
-
-COHERENT = dict(tree_reuse="repair", walk_warm_start=True,
-                let_drain="incremental")
-
-
-@pytest.mark.parametrize("n_ranks", [1, 2, 4, 8])
-def test_warm_start_bitwise_matches_cold(n_ranks):
-    particles = plummer_model(N, seed=21)
-    ref = _forces(particles, _cfg(), n_ranks, steps=2,
-                  load_balance="measured")
-    warm = _forces(particles, _cfg(walk_warm_start=True), n_ranks,
-                   steps=2, load_balance="measured")
-    assert warm[2] == ref[2]                      # counts byte-identical
-    assert warm[0].tobytes() == ref[0].tobytes()  # forces bitwise equal
-    assert warm[1].tobytes() == ref[1].tobytes()
-
-
-@pytest.mark.parametrize("n_ranks", [1, 2, 4])
-def test_tree_reuse_bitwise_matches_cold(n_ranks):
-    particles = plummer_model(N, seed=22)
-    ref = _forces(particles, _cfg(), n_ranks, steps=2,
-                  load_balance="measured")
-    reuse = _forces(particles, _cfg(tree_reuse="repair"), n_ranks,
-                    steps=2, load_balance="measured")
-    assert reuse[2] == ref[2]
-    assert reuse[0].tobytes() == ref[0].tobytes()
-    assert reuse[1].tobytes() == ref[1].tobytes()
-
-
-@pytest.mark.parametrize("n_ranks", [2, 4])
-def test_all_coherence_knobs_bitwise(n_ranks):
-    particles = plummer_model(N, seed=23)
-    ref = _forces(particles, _cfg(), n_ranks, steps=2,
-                  load_balance="measured")
-    on = _forces(particles, _cfg(**COHERENT), n_ranks, steps=2,
-                 load_balance="measured")
-    assert on[2] == ref[2]
-    assert on[0].tobytes() == ref[0].tobytes()
-    assert on[1].tobytes() == ref[1].tobytes()
-
-
-def test_incremental_drain_bitwise_matches_deterministic():
-    # The incremental drain overlaps the boundary-batch walk with
-    # in-flight LET sends but consumes LETs in the same rank order as
-    # the deterministic drain: identical accumulation sequence.
-    particles = plummer_model(N, seed=24)
-    det = _forces(particles, _cfg(let_drain="deterministic"), 4, steps=1)
-    inc = _forces(particles, _cfg(let_drain="incremental"), 4, steps=1)
-    assert inc[2] == det[2]
-    assert inc[0].tobytes() == det[0].tobytes()
-    assert inc[1].tobytes() == det[1].tobytes()
-
-
-def test_coherence_knobs_bitwise_under_flops_rebalance():
-    # Stale-cache regression: "flops" load balance refits the box and
-    # re-cuts the domain every step, migrating particles between ranks.
-    # Epoch tags + structural fingerprints must force every cache cold
-    # across each relayout -- results stay bitwise equal to knob-off.
-    particles = plummer_model(N, seed=25)
-    ref = _forces(particles, _cfg(), 4, steps=3, load_balance="flops")
-    on = _forces(particles, _cfg(**COHERENT), 4, steps=3,
-                 load_balance="flops")
-    assert on[2] == ref[2]
-    assert on[0].tobytes() == ref[0].tobytes()
-
-
-def test_coherence_knobs_bitwise_under_forced_rebalance():
-    # Measured LB with trigger ratio 1.0 rebalances on every step: the
-    # adversarial case for warm-start/sort-cache entries surviving an
-    # exchange.  The layout epoch must invalidate them.  Cut weights
-    # come from interaction counts (lb_source="counts"): wall-derived
-    # weights would legitimately shift the cuts when reuse changes the
-    # phase timings, which is a decomposition change, not staleness.
-    particles = plummer_model(N, seed=26)
-
-    def run(config):
-        n = particles.n
-        world = SimWorld(4)
-        world.attach_tracer(Tracer(clock=VirtualClock()))
-
-        def prog(comm):
-            lo = n * comm.rank // comm.size
-            hi = n * (comm.rank + 1) // comm.size
-            sim = ParallelSimulation(
-                comm, particles.select(np.arange(lo, hi)), config,
-                load_balance="measured", lb_source="counts",
-                lb_trigger_ratio=1.0)
-            sim.prime()
-            for _ in range(3):
-                sim.step()
-            return sim.particles.ids, sim._acc, sim._layout_epoch
-
-        results = spmd_run(4, prog, world=world, timeout=300.0)
-        ids = np.concatenate([r[0] for r in results])
-        order = np.argsort(ids, kind="stable")
-        acc = np.concatenate([r[1] for r in results])[order]
-        bumps = sum(r[2] for r in results)
-        return acc, bumps
-
-    acc_ref, _ = run(_cfg())
-    acc_on, bumps = run(_cfg(**COHERENT))
-    assert bumps > 0      # the hazard was actually exercised
-    assert acc_on.tobytes() == acc_ref.tobytes()
-
-
-def test_coherence_caches_engage():
-    # In the coherent regime (pinned box via measured LB, small dt) the
-    # tree cache must actually repair/reuse and the walk cache must
-    # actually score hits -- guards against the knobs silently always
-    # falling back cold.
-    from repro.core.parallel_simulation import run_parallel_simulation
-    particles = plummer_model(2000, seed=27)
-    cfg = _cfg(dt=1e-3, **COHERENT)
-    sims = run_parallel_simulation(2, particles, cfg, n_steps=4,
-                                   load_balance="measured",
-                                   lb_source="counts")
-    modes = [s._tree_cache.last.mode for s in sims]
-    assert any(m in ("reuse", "repair") for m in modes), modes
-    assert sum(s._walk_cache.hits for s in sims) > 0
-    assert all(s._walk_cache.epoch >= 0 for s in sims)
-
-
-@pytest.mark.parametrize("n_ranks", [2, 4])
-def test_coherence_knobs_bitwise_on_process_transport(n_ranks):
-    # Same contract across the process (forked ranks, shared-memory
-    # messaging) transport: end-of-run positions, forces and per-step
-    # interaction counts bitwise-match the knob-off process run.
-    from repro.core.parallel_simulation import run_parallel_simulation
-    particles = plummer_model(512, seed=28)
-
-    def run(config):
-        res = run_parallel_simulation(n_ranks, particles.copy(), config,
-                                      n_steps=2, transport="process",
-                                      load_balance="measured",
-                                      lb_source="counts", timeout=300.0)
-        ids = np.concatenate([r.particles.ids for r in res])
-        order = np.argsort(ids, kind="stable")
-        pos = np.concatenate([r.particles.pos for r in res])[order]
-        acc = np.concatenate([r.acc for r in res])[order]
-        counts = [tuple((bd.counts.n_pp, bd.counts.n_pc)
-                        for bd in r.history) for r in res]
-        return pos, acc, counts
-
-    # Untraced run: let_drain="auto" would resolve to the opportunistic
-    # drain, whose accumulation order races on LET arrival -- pin the
-    # baseline to the deterministic rank-order drain, the schedule the
-    # incremental drain promises to match bitwise.
-    ref = run(_cfg(let_drain="deterministic"))
-    on = run(_cfg(**COHERENT))
-    assert on[2] == ref[2]
-    assert on[0].tobytes() == ref[0].tobytes()
-    assert on[1].tobytes() == ref[1].tobytes()
-
-
-# -- warm_walk unit tests -------------------------------------------------
-
-@pytest.fixture(scope="module")
-def warm_setup():
-    """A target tree walked against its own boundary structure."""
-    rng = np.random.default_rng(31)
-    pos = rng.normal(size=(3000, 3))
-    mass = rng.uniform(0.5, 1.0, 3000)
-    box = BoundingBox.from_positions(pos)
-    t = build_octree(pos, nleaf=16, box=box)
-    compute_moments(t, pos, mass)
-    compute_opening_radii(t, 0.5, "bonsai")
-    make_groups(t, 64)
-    sp = pos[t.order]
-    sm = mass[t.order]
-    source = boundary_structure(t, sp, sm)
-    gmin, gmax = group_aabbs(t, sp)
-    return source, gmin, gmax
-
-
-def test_warm_walk_miss_then_hit_bitwise(warm_setup):
-    from repro.gravity import WalkCache, warm_walk
-    source, gmin, gmax = warm_setup
-    rpc_g, rpc_c, rpp_g, rpp_c, _ = walk_interaction_lists(
-        source, gmin, gmax)
-    cache = WalkCache()
-    for expect_warm in (False, True):
-        pc_g, pc_c, pp_g, pp_c, mf, warm = warm_walk(
-            cache, ("let", 1), source, gmin, gmax)
-        assert warm is expect_warm
-        assert pc_g.tobytes() == rpc_g.tobytes()
-        assert pc_c.tobytes() == rpc_c.tobytes()
-        assert pp_g.tobytes() == rpp_g.tobytes()
-        assert pp_c.tobytes() == rpp_c.tobytes()
-        assert mf >= 1
-    assert cache.hits > 0 and cache.misses == 1
-
-
-def test_warm_walk_exact_under_mac_flips(warm_setup):
-    # Same structure, perturbed moments: PC<->PP<->OPEN decisions flip
-    # but the warm result must still equal a cold walk on the *new*
-    # moments, bitwise -- the OPEN->accept fallback and PC->OPEN
-    # sub-walks are what make that exact.
-    import dataclasses
-    from repro.gravity import WalkCache, warm_walk
-    source, gmin, gmax = warm_setup
-    rng = np.random.default_rng(32)
-    flipped = dataclasses.replace(
-        source, r_crit=source.r_crit * rng.uniform(0.5, 2.0,
-                                                   len(source.r_crit)))
-    cache = WalkCache()
-    warm_walk(cache, "local", source, gmin, gmax)     # prime (cold)
-    wg = warm_walk(cache, "local", flipped, gmin, gmax)
-    ref = walk_interaction_lists(flipped, gmin, gmax)
-    assert wg[5] is True      # same structure arrays: warm path taken
-    for a, b in zip(wg[:4], ref[:4]):
-        assert a.tobytes() == b.tobytes()
-    # Warm again on the flipped moments: the stored-back visit list must
-    # itself be a valid warm-start basis.
-    wg2 = warm_walk(cache, "local", flipped, gmin, gmax)
-    assert wg2[5] is True
-    for a, b in zip(wg2[:4], ref[:4]):
-        assert a.tobytes() == b.tobytes()
-
-
-def test_walk_cache_flushes_on_group_change(warm_setup):
-    from repro.gravity import WalkCache, warm_walk
-    source, gmin, gmax = warm_setup
-    cache = WalkCache()
-    cache.begin_step(np.array([0]), np.array([10]))
-    warm_walk(cache, "local", source, gmin, gmax)
-    # New partition: cached group ids are meaningless, entries flushed.
-    cache.begin_step(np.array([0, 10]), np.array([10, 5]))
-    assert not cache.has("local", source)
-    got = warm_walk(cache, "local", source, gmin, gmax)
-    assert got[5] is False
-    cache.bump_epoch()
-    assert not cache.has("local", source)
+def test_config_knob_surface_is_pinned():
+    """Adding a knob must edit this tuple: every independent option
+    multiplies the pipelines the tests and the ledger have to cover."""
+    names = tuple(f.name for f in dataclasses.fields(SimulationConfig))
+    assert names == (
+        "theta", "softening", "dt", "nleaf", "ncrit", "mac", "curve",
+        "quadrupole", "force_method",
+        "chunk", "precision", "backend", "let_drain",    # force pipeline
+        "transport", "watchdog_grace")

@@ -14,7 +14,7 @@ The invariants this suite pins down:
 - backends whose package is absent skip, never fail, and are never
   imported at module load.
 
-The real numba/cupy runtimes are exercised by the same tests when
+The real numba runtime is exercised by the same tests when
 installed (CI's ``backend-matrix`` job); this container validates the
 fused pass algorithm through the fallback.
 """
@@ -94,7 +94,7 @@ def _nondefault_backends():
 # -- registry ---------------------------------------------------------------
 
 def test_builtin_backends_registered():
-    assert registered_backends() == ("numpy", "numba", "cupy")
+    assert registered_backends() == ("numpy", "numba")
     assert "numpy" in available_backends()
 
 
@@ -106,12 +106,10 @@ def test_get_backend_passthrough_and_errors():
 
 
 def test_unavailable_backend_raises_with_reason():
-    for name in ("numba", "cupy"):
-        backend = get_backend(name) if name in available_backends() else None
-        if backend is not None:
-            pytest.skip(f"{name} is installed here")
-        with pytest.raises(BackendUnavailable, match=name):
-            get_backend(name)
+    if "numba" in available_backends():
+        pytest.skip("numba is installed here")
+    with pytest.raises(BackendUnavailable, match="numba"):
+        get_backend("numba")
 
 
 def test_register_and_unregister_custom_backend():
@@ -129,10 +127,9 @@ def test_register_and_unregister_custom_backend():
 
 def test_no_heavy_import_at_module_load():
     # The registry (and this whole suite's imports) must not pull in
-    # numba/cupy; availability probing is find_spec-only.
-    for mod in ("numba", "cupy"):
-        if mod not in available_backends():
-            assert mod not in sys.modules
+    # numba; availability probing is find_spec-only.
+    if "numba" not in available_backends():
+        assert "numba" not in sys.modules
 
 
 def test_config_validates_backend():
@@ -141,17 +138,14 @@ def test_config_validates_backend():
     assert cfg.backend == "numba"             # (availability checked later)
     with pytest.raises(ValueError, match="unknown backend"):
         SimulationConfig(backend="fortran")
-    with pytest.raises(ValueError, match="scatter"):
-        SimulationConfig(backend="numba", scatter="bincount")
 
 
 def test_driver_fails_fast_when_backend_unavailable():
-    missing = [n for n in ("numba", "cupy") if n not in available_backends()]
-    if not missing:
-        pytest.skip("all optional backends installed here")
+    if "numba" in available_backends():
+        pytest.skip("numba is installed here")
     ps = plummer_model(32, seed=0)
     with pytest.raises(BackendUnavailable):
-        Simulation(ps, SimulationConfig(backend=missing[0]))
+        Simulation(ps, SimulationConfig(backend="numba"))
 
 
 # -- default unchanged ------------------------------------------------------
@@ -364,9 +358,8 @@ def _require(name):
         pytest.skip(str(exc))
 
 
-@pytest.mark.parametrize("name", ["numba", "cupy"])
-def test_optional_backend_matches_oracle_when_installed(name):
-    backend = _require(name)
+def test_optional_backend_matches_oracle_when_installed():
+    backend = _require("numba")
     backend.warmup()
     ref = _tree_result(512, 21, backend="numpy")
     res = _tree_result(512, 21, backend=backend)

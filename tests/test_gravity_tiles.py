@@ -2,7 +2,7 @@
 
 Every case is checked two ways: forces against the direct-sum oracle
 (:mod:`repro.gravity.direct`), and interaction counts against the
-``bincount`` reference evaluator, which still expands flat pairs.
+flat-pair oracle (``tests/flat_pair_oracle.py``).
 """
 
 import warnings
@@ -13,7 +13,6 @@ import pytest
 from repro.gravity import (SourceForest, direct_forces, tree_forces,
                            walk_forest_interaction_lists)
 from repro.gravity.flops import InteractionCounts
-from repro.gravity.forest import split_by_source
 from repro.gravity.kernels import point_forces_on_targets
 from repro.gravity.treewalk import (DEFAULT_CHUNK, KernelWorkspace,
                                     SourceView, evaluate_pc_pairs,
@@ -23,6 +22,9 @@ from repro.octree import (build_octree, compute_moments,
                           compute_opening_radii, make_groups)
 from repro.parallel import build_let_for_box
 from repro.testing import max_rel_difference
+
+from .flat_pair_oracle import (evaluate_pc_flat, evaluate_pp_flat,
+                               flat_tree_forces, split_by_source)
 
 THETA = 0.5
 EPS = 0.02
@@ -43,11 +45,10 @@ def _tree(pos, mass, ncrit=64, nleaf=16):
 
 
 def _tile_and_reference(tree, pos, mass, eps=EPS, **kw):
-    """Tile evaluator vs the bincount reference: counts equal, forces 1e-12."""
+    """Tile evaluator vs the flat-pair oracle: counts equal, forces 1e-12."""
     shared = {k: v for k, v in kw.items() if k not in ("chunk", "precision")}
     tile = tree_forces(tree, pos, mass, theta=THETA, eps=eps, **kw)
-    ref = tree_forces(tree, pos, mass, theta=THETA, eps=eps,
-                      scatter="bincount", **shared)
+    ref = flat_tree_forces(tree, pos, mass, theta=THETA, eps=eps, **shared)
     assert tile.counts == ref.counts
     if kw.get("precision", "float64") == "float64":
         np.testing.assert_allclose(tile.acc, ref.acc, rtol=1e-12, atol=1e-13)
@@ -211,21 +212,26 @@ def test_batch_tile_sums_each_source_by_itself(precision, chunk):
         forest, gmin, gmax)
     eps2 = EPS ** 2
 
-    def evaluate(lists, view_offsets, **kw):
+    ws = KernelWorkspace(chunk, precision)
+
+    def tile_kw(view_offsets):
+        sview = SourceView.build(forest, forest.part_pos, forest.part_mass)
+        sview.cell_offsets = view_offsets
+        return dict(workspace=ws, sview=sview)
+
+    def evaluate(lists, pc_eval=evaluate_pc_pairs, pp_eval=evaluate_pp_pairs,
+                 **kw):
         out = [np.zeros((len(pos), 3)), np.zeros(len(pos)),
                np.zeros((len(pos), 3)), np.zeros(len(pos))]
         counts = InteractionCounts()
-        sview = SourceView.build(forest, forest.part_pos, forest.part_mass)
-        sview.cell_offsets = view_offsets
-        kw = dict(kw, chunk=chunk, sview=sview)
         for g1, c1, g2, c2 in lists:
-            evaluate_pc_pairs(out[0], out[1], spos_t, forest, g1, c1,
-                              tree.group_first, tree.group_count, eps2,
-                              True, counts, **kw)
-            evaluate_pp_pairs(out[2], out[3], spos_t, forest.part_pos,
-                              forest.part_mass, g2, c2, tree.group_first,
-                              tree.group_count, forest.body_first,
-                              forest.body_count, eps2, counts, False, **kw)
+            pc_eval(out[0], out[1], spos_t, forest, g1, c1,
+                    tree.group_first, tree.group_count, eps2, True, counts,
+                    chunk, **kw)
+            pp_eval(out[2], out[3], spos_t, forest.part_pos,
+                    forest.part_mass, g2, c2, tree.group_first,
+                    tree.group_count, forest.body_first, forest.body_count,
+                    eps2, counts, False, chunk, **kw)
         return out, counts
 
     pcs = split_by_source(forest, pc_g, pc_c)
@@ -233,12 +239,11 @@ def test_batch_tile_sums_each_source_by_itself(precision, chunk):
     per_source = [(pcs[0][a:b], pcs[1][a:b], pps[0][c:d], pps[1][c:d])
                   for a, b, c, d in zip(pcs[2][:-1], pcs[2][1:],
                                         pps[2][:-1], pps[2][1:])]
-    ws = KernelWorkspace(chunk, precision)
     batch, n_batch = evaluate([(pc_g, pc_c, pp_g, pp_c)],
-                              forest.cell_offsets, workspace=ws)
-    alone, n_alone = evaluate(per_source, None, workspace=ws)
-    ref, n_ref = evaluate([(pc_g, pc_c, pp_g, pp_c)], None,
-                          scatter="bincount")
+                              **tile_kw(forest.cell_offsets))
+    alone, n_alone = evaluate(per_source, **tile_kw(None))
+    ref, n_ref = evaluate([(pc_g, pc_c, pp_g, pp_c)],
+                          evaluate_pc_flat, evaluate_pp_flat)
     assert n_batch == n_alone == n_ref and n_batch.n_pp and n_batch.n_pc
     for b, a in zip(batch, alone):
         assert b.tobytes() == a.tobytes()

@@ -88,3 +88,45 @@ def test_build_octree_accepts_cached_order():
     np.testing.assert_array_equal(t_cold.order, t_cached.order)
     np.testing.assert_array_equal(t_cold.cell_key, t_cached.cell_key)
     np.testing.assert_array_equal(t_cold.body_first, t_cached.body_first)
+
+
+# -- SortCache layout epochs (the stale-permutation hazard) ---------------
+
+def test_sort_cache_epoch_change_prevents_stale_tiebreak():
+    """After a relayout, tied keys repaired through the *old* permutation
+    would come out in a different order than a cold stable sort -- the
+    exact hazard the epoch tag exists to close."""
+    keys1 = np.array([3, 1, 2, 1], dtype=np.uint64)
+    keys2 = np.array([1, 1, 3, 2], dtype=np.uint64)
+    cold = np.argsort(keys2, kind="stable")
+
+    stale = SortCache()
+    stale.order_for(keys1)
+    repaired = stale.order_for(keys2)        # no epoch: demonstrates hazard
+    assert stale.last_mode == "repair"
+    assert not np.array_equal(repaired, cold)
+
+    tagged = SortCache()
+    tagged.order_for(keys1, epoch=0)
+    fixed = tagged.order_for(keys2, epoch=1)  # relayout: epoch bumped
+    assert tagged.last_mode in ("cold", "identity")
+    assert np.array_equal(fixed, cold)
+
+
+def test_sort_cache_same_epoch_preserves_reuse():
+    rng = np.random.default_rng(7)
+    keys = rng.integers(0, 2 ** 60, 1000).astype(np.uint64)
+    sc = SortCache()
+    o1 = sc.order_for(keys, epoch=3)
+    o2 = sc.order_for(keys, epoch=3)
+    assert sc.last_mode == "reuse"
+    assert o2 is o1
+
+
+def test_sort_cache_invalidate_clears_epoch():
+    keys = np.array([2, 1], dtype=np.uint64)
+    sc = SortCache()
+    sc.order_for(keys, epoch=5)
+    sc.invalidate()
+    sc.order_for(keys, epoch=5)
+    assert sc.last_mode == "cold"
