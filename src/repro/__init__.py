@@ -21,7 +21,7 @@ Package layout (see DESIGN.md for the full inventory):
 - :mod:`repro.simmpi`     -- in-process SPMD message-passing runtime.
 - :mod:`repro.parallel`   -- SFC decomposition, LET exchange, distributed
   gravity.
-- :mod:`repro.core`       -- serial and distributed simulation drivers.
+- :mod:`repro.core`       -- the simulation driver and its one-process front.
 - :mod:`repro.perfmodel`  -- calibrated at-scale performance model
   (Fig. 1, Fig. 4, Tables I-II).
 - :mod:`repro.analysis`   -- bar strength, surface density, kinematics

@@ -1,4 +1,4 @@
-"""Simulation configuration shared by the serial and parallel drivers."""
+"""Simulation configuration, identical on every rank of a run."""
 
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""High-level simulation drivers (serial and distributed)."""
+"""The simulation driver, its one-process front and the Table II record."""
 
 from .step import StepBreakdown
 from .simulation import Simulation

@@ -1,5 +1,6 @@
-"""Distributed simulation driver over SimMPI (the full Sec. III-B loop).
+"""The simulation driver, one step loop at any rank count (Sec. III-B).
 
+:class:`~repro.core.simulation.Simulation` is this driver on one rank.
 Each step performs exactly the paper's pipeline:
 
 1. trailing half-kick of the previous step (KDK),
@@ -27,17 +28,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 
 import numpy as np
 
 from ..config import SimulationConfig
+from ..gravity.direct import direct_forces
 from ..gravity.flops import InteractionCounts
 from ..gravity.treewalk import KernelWorkspace
-from ..integrator import EnergyDiagnostics
-from ..obs.tracer import Tracer
+from ..integrator import EnergyDiagnostics, system_diagnostics
+from ..obs.tracer import PhaseClock, Tracer
 from ..particles import ParticleSet
-from ..parallel import DomainDecomposition, distributed_forces, domain_update, exchange_particles
+from ..parallel import (DomainDecomposition, EmptyDomainError,
+                        distributed_forces, domain_update, exchange_particles)
 from ..parallel.feedback import CostModel, LB_MODES
 from ..sfc import BoundingBox, SortCache
 from ..simmpi import SimComm, spmd_run
@@ -125,6 +127,12 @@ class ParallelSimulation:
         self.comm = comm
         self.particles = particles
         self.config = config or SimulationConfig()
+        if self.config.force_method == "direct" and comm.size > 1:
+            raise ValueError(
+                'force_method="direct" is the one-rank O(N^2) oracle; '
+                f"it cannot run on {comm.size} ranks")
+        if particles.n == 0:
+            raise EmptyDomainError(comm.rank, 0, "init")
         self.method = decomposition_method
         self.rate1 = sample_rate1
         self.rate2 = sample_rate2
@@ -200,24 +208,6 @@ class ParallelSimulation:
             step_count=self.step_count, history=list(self.history),
             boundary_history=list(self.boundary_history),
             recv_wait_seconds=self.recv_wait_seconds)
-
-    def _now(self) -> float:
-        """Phase-boundary clock: tracer clock when tracing, else wall.
-
-        Using the tracer's clock for the breakdown keeps the trace and
-        the :class:`StepBreakdown` numerically identical -- one
-        measurement, two views.
-        """
-        tr = self.comm.tracer
-        if tr.enabled:
-            return tr.clock.now(self.comm.rank)
-        return time.perf_counter()
-
-    def _rec(self, name: str, t0: float, t1: float, **attrs) -> None:
-        tr = self.comm.tracer
-        if tr.enabled:
-            tr.record(name, self.comm.rank, t0, t1, cat="phase",
-                      step=self.step_count, **attrs)
 
     def _beat(self, phase: str | None = None) -> None:
         """Driver-level heartbeat (step boundaries; no-op without a
@@ -297,7 +287,8 @@ class ParallelSimulation:
 
     def redistribute(self, bd: StepBreakdown | None = None) -> None:
         """Domain update + particle exchange (Table II "Domain Update")."""
-        t0 = self._now()
+        ck = PhaseClock(self.comm, self.step_count)
+        t0 = ck.now()
         box, box_changed = self._update_box()
         keys = box.keys(self.particles.pos, self.config.curve)
         order = self._sort_cache.order_for(keys, epoch=self._layout_epoch)
@@ -311,14 +302,14 @@ class ParallelSimulation:
             keys = keys[order]
             if weights is not None:
                 weights = weights[order]
-        t1 = self._now()
-        self._rec("sorting", t0, t1, sort_mode=sort_mode)
+        t1 = ck.now()
+        ck.rec("sorting", t0, t1, sort_mode=sort_mode)
 
         self.comm.set_phase("domain_update")
         weights, rebalance, ratio = self._lb_decision(keys, weights,
                                                       box_changed)
         if rebalance:
-            t_rb = self._now()
+            t_rb = ck.now()
             self.decomposition = domain_update(self.comm, keys, weights,
                                                method=self.method,
                                                rate1=self.rate1,
@@ -328,32 +319,34 @@ class ParallelSimulation:
                 attrs = {"mode": self.load_balance}
                 if math.isfinite(ratio):
                     attrs["imbalance"] = ratio
-                self._rec("rebalance", t_rb, self._now(), **attrs)
+                ck.rec("rebalance", t_rb, ck.now(), **attrs)
         self.boundary_history.append(
             tuple(int(b) for b in self.decomposition.boundaries))
         old_ids = self.particles.ids
         self.particles, self._keys = exchange_particles(
             self.comm, self.particles, keys, self.decomposition,
             check=self.invariant_checks, return_keys=True)
+        if self.particles.n == 0:
+            raise EmptyDomainError(self.comm.rank, self.step_count,
+                                   "domain_update")
         # Layout generation: any change to the local particle sequence
         # (migration in/out, or a reorder the exchange introduced)
         # invalidates the sort caches' permutations.  The epoch tag
         # makes that explicit instead of relying on their structural
         # checks alone.
-        if len(self.particles.ids) != len(old_ids) or \
-                not np.array_equal(self.particles.ids, old_ids):
+        if not np.array_equal(self.particles.ids, old_ids):
             self._layout_epoch += 1
         if self.invariant_checks:
             from ..testing.invariants import check_ownership
             keys_after = box.keys(self.particles.pos, self.config.curve)
             check_ownership(self.comm, self.decomposition, keys_after)
-        t2 = self._now()
+        t2 = ck.now()
         du_attrs = {}
         if self._cost_model is not None:
             du_attrs["rebalanced"] = rebalance
             if math.isfinite(ratio):
                 du_attrs["lb_imbalance"] = ratio
-        self._rec("domain_update", t1, t2, **du_attrs)
+        ck.rec("domain_update", t1, t2, **du_attrs)
         self._box = box
         if bd is not None:
             bd.sorting += t1 - t0
@@ -363,10 +356,34 @@ class ParallelSimulation:
         """Distributed force computation on the current layout.
 
         The per-sub-phase times measured inside
-        :func:`distributed_forces` are mapped onto Table II rows here:
-        boundary/LET *build+send* time books under "Unbalance + Other"
-        (the paper hides it), the rest map one-to-one.
+        :func:`distributed_forces` are booked onto Table II rows here
+        (:meth:`StepBreakdown.book`).  ``force_method="direct"`` (one
+        rank only) replaces the whole phase by the O(N^2) oracle -- "if
+        the opening angle is infinitesimal the tree-code reduces to a
+        ... direct N-body code" -- booked as "Compute gravity Local-tree".
         """
+        if self.config.force_method == "direct":
+            ps = self.particles
+            counts = InteractionCounts(quadrupole=False)
+            ck = PhaseClock(self.comm, self.step_count)
+            t0 = ck.now()
+            self._acc, self._phi = direct_forces(
+                ps.pos, ps.mass, eps=self.config.softening, counts=counts)
+            phases = {"gravity_local": ck.rec(
+                "gravity_local", t0, ck.now(), n_particles=ps.n,
+                n_pp=counts.n_pp, n_pc=0, quadrupole=False)}
+        else:
+            counts, phases = self._tree_forces()
+        if bd is not None:
+            for span, seconds in phases.items():
+                bd.book(span, seconds)
+            bd.counts.add(counts)
+            bd.counts.quadrupole = counts.quadrupole
+            bd.n_particles = self.particles.n
+
+    def _tree_forces(self) -> tuple[InteractionCounts, dict]:
+        """One :func:`distributed_forces` pass; returns its interaction
+        tally and seconds per sub-phase."""
         if self._workspace is None:
             self._workspace = self._backend.make_workspace(
                 self.config.chunk, self.config.precision)
@@ -385,23 +402,13 @@ class ParallelSimulation:
         # Per-particle cost estimate for the next load balance: spread the
         # local walk cost uniformly over local particles (the GPU balance
         # quantity is flops per domain, which this reproduces in aggregate).
-        flops_pp = result.counts_total.flops / max(self.particles.n, 1)
-        self._weights = np.full(self.particles.n, flops_pp)
+        self._weights = np.full(
+            self.particles.n, result.counts_total.flops / self.particles.n)
         if self._cost_model is not None:
             # Fold the measurement distributed_forces just booked into
             # the metrics registry into the smoothed cost model.
             self._cost_model.observe(self.particles.n)
-        if bd is not None:
-            ph = result.phases
-            bd.tree_construction += ph["tree_construction"]
-            bd.tree_properties += ph["tree_properties"]
-            bd.gravity_local += ph["gravity_local"]
-            bd.gravity_let += ph["gravity_let"]
-            bd.non_hidden_comm += ph["non_hidden_comm"]
-            bd.other += ph["boundary_exchange"] + ph["let_exchange"]
-            bd.counts.add(result.counts_total)
-            bd.counts.quadrupole = self.config.quadrupole
-            bd.n_particles = self.particles.n
+        return result.counts_total, result.phases
 
     def prime(self, bd: StepBreakdown | None = None) -> None:
         """Initial decomposition + forces (before the first step)."""
@@ -418,21 +425,18 @@ class ParallelSimulation:
         dt = self.config.dt
         half = 0.5 * dt
 
-        t0 = self._now()
+        ck = PhaseClock(self.comm, self.step_count)
+        t0 = ck.now()
         self.particles.vel += self._acc * half
         self.particles.pos += self.particles.vel * dt
-        t1 = self._now()
-        self._rec("other", t0, t1)
-        bd.other += t1 - t0
+        bd.other += ck.rec("other", t0, ck.now())
 
         self.redistribute(bd)
         self.compute_forces(bd)
 
-        t0 = self._now()
+        t0 = ck.now()
         self.particles.vel += self._acc * half
-        t1 = self._now()
-        self._rec("other", t0, t1)
-        bd.other += t1 - t0
+        bd.other += ck.rec("other", t0, ck.now())
 
         self.time += dt
         self.step_count += 1
@@ -457,15 +461,9 @@ class ParallelSimulation:
         """Globally reduced energy/momentum diagnostics."""
         if self._phi is None:
             self.prime()
-        ke = self.particles.kinetic_energy()
-        pe = 0.5 * float(np.sum(self.particles.mass * self._phi))
-        mom = self.particles.momentum()
-        ang = self.particles.angular_momentum()
-        ke, pe = self.comm.allreduce(ke), self.comm.allreduce(pe)
-        mom = self.comm.allreduce(mom)
-        ang = self.comm.allreduce(ang)
-        return EnergyDiagnostics(kinetic=ke, potential=pe, momentum=mom,
-                                 angular_momentum=ang)
+        d = system_diagnostics(self.particles, self._phi)
+        return EnergyDiagnostics(*map(self.comm.allreduce, (
+            d.kinetic, d.potential, d.momentum, d.angular_momentum)))
 
 
 def run_parallel_simulation(n_ranks: int, particles: ParticleSet,
@@ -549,13 +547,11 @@ def run_parallel_simulation(n_ranks: int, particles: ParticleSet,
         elif recorder.ring not in trace.sinks:
             trace.add_sink(recorder.ring)
     if trace_sink is not None:
-        from ..obs.sink import coerce_sink
-        sink = coerce_sink(trace_sink)
         if trace is None:
-            trace = Tracer(sink=sink)
+            trace = Tracer(sink=trace_sink)
             owns_tracer = True
         else:
-            trace.add_sink(sink)
+            trace.add_sink(trace_sink)
 
     grace = config.watchdog_grace if config is not None else None
     if world is None:
@@ -616,6 +612,11 @@ def run_parallel_simulation(n_ranks: int, particles: ParticleSet,
                 else:
                     reason = "error"
                 recorder.dump(reason, error=exc)
+            if isinstance(exc.__cause__, ValueError):
+                # A rank rejected its input (an option invalid at this
+                # rank count, an empty domain): the caller's error,
+                # surfaced typed instead of wrapped.
+                raise exc.__cause__
             raise
     finally:
         if owns_tracer:

@@ -18,6 +18,13 @@ TABLE2_PHASES = (
     "other",
 )
 
+#: Phase-span name -> StepBreakdown field: the one place a measured
+#: phase is assigned its Table II row.  Boundary allgather and LET
+#: build/send have no row of their own and fold, with the integrator's
+#: kick/drift, into "Unbalance + Other" (the paper hides them).
+SPAN_TO_FIELD = {**{name: name for name in TABLE2_PHASES},
+                 "boundary_exchange": "other", "let_exchange": "other"}
+
 
 @dataclasses.dataclass
 class StepBreakdown:
@@ -46,6 +53,11 @@ class StepBreakdown:
         return (self.sorting + self.domain_update + self.tree_construction
                 + self.tree_properties + self.gravity_local + self.gravity_let
                 + self.non_hidden_comm + self.other)
+
+    def book(self, span: str, seconds: float) -> None:
+        """Add a phase span's seconds to its row (:data:`SPAN_TO_FIELD`)."""
+        row = SPAN_TO_FIELD[span]
+        setattr(self, row, getattr(self, row) + seconds)
 
     def as_dict(self) -> dict[str, float]:
         """Phase -> seconds mapping in Table II order."""

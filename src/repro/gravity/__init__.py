@@ -30,6 +30,7 @@ from .direct import direct_forces
 from .treewalk import (
     DEFAULT_CHUNK,
     PRECISIONS,
+    ForcePass,
     KernelWorkspace,
     SourceView,
     TreeWalkResult,
@@ -51,6 +52,7 @@ __all__ = [
     "walk_frontier",
     "walk_interaction_lists",
     "TreeWalkResult",
+    "ForcePass",
     "KernelWorkspace",
     "SourceView",
     "DEFAULT_CHUNK",

@@ -28,7 +28,7 @@ import dataclasses
 
 import numpy as np
 
-from .treewalk import walk_frontier
+from .treewalk import walk_interaction_lists
 
 
 @dataclasses.dataclass
@@ -103,20 +103,10 @@ class SourceForest:
         )
 
 
-def walk_forest_interaction_lists(forest: SourceForest,
-                                  gmin: np.ndarray, gmax: np.ndarray
-                                  ) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray, np.ndarray, int]:
-    """Walk every source of the forest in one frontier pass.
-
-    The initial frontier is source-major (for each source in forest
-    order: every target group against that source's root), which is
-    what makes the per-source recovery exact.  Returns the same tuple
-    as :func:`~repro.gravity.treewalk.walk_interaction_lists`, with
-    forest-global cell indices and the *combined* peak frontier.
-    """
-    n_groups = len(gmin)
-    g = np.tile(np.arange(n_groups, dtype=np.int64), forest.n_sources)
-    c = np.repeat(forest.cell_offsets[:-1], n_groups)
-    return walk_frontier(forest.first_child, forest.n_children,
-                         forest.com, forest.r_crit, gmin, gmax, g, c)
+#: The batched walk, under the name its callers know:
+#: :func:`~repro.gravity.treewalk.walk_interaction_lists` seeds one
+#: frontier from a forest's roots source-major (for each source in
+#: forest order: every target group against that source's root), which
+#: is what makes the per-source recovery exact.  Cell indices are
+#: forest-global and the peak frontier is the *combined* one.
+walk_forest_interaction_lists = walk_interaction_lists

@@ -262,7 +262,9 @@ def walk_interaction_lists(source, gmin: np.ndarray, gmax: np.ndarray
     ----------
     source:
         Source octree (or LET-like structure) with moments and
-        ``r_crit`` filled in.
+        ``r_crit`` filled in -- or a
+        :class:`~repro.gravity.forest.SourceForest` of several, whose
+        roots (``cell_offsets[:-1]``) seed one frontier, source-major.
     gmin, gmax:
         (G, 3) tight AABBs of the target groups.
 
@@ -277,9 +279,11 @@ def walk_interaction_lists(source, gmin: np.ndarray, gmax: np.ndarray
     """
     if source.r_crit is None:
         raise ValueError("compute_opening_radii must run before the walk")
+    offsets = getattr(source, "cell_offsets", None)
+    roots = np.zeros(1, dtype=np.int64) if offsets is None else offsets[:-1]
     n_groups = len(gmin)
-    g = np.arange(n_groups, dtype=np.int64)
-    c = np.zeros(n_groups, dtype=np.int64)
+    g = np.tile(np.arange(n_groups, dtype=np.int64), len(roots))
+    c = np.repeat(roots, n_groups)
     return walk_frontier(source.first_child, source.n_children,
                          source.com, source.r_crit, gmin, gmax, g, c)
 
@@ -504,6 +508,73 @@ def evaluate_pp_pairs(acc: np.ndarray, phi: np.ndarray,
                    counts, exclude_self, chunk, ws)
 
 
+class ForcePass:
+    """One force evaluation onto one target tree, source by source.
+
+    The one place a source is walked onto a target tree and its pair
+    lists are evaluated.  Holds what every source of the pass shares:
+    the target ``tree`` with its sorted positions ``spos`` (and their
+    :func:`target_columns` / :func:`group_aabbs`), the workspace, the
+    resolved backend, and two accumulator pairs -- p-c and p-p sums are
+    kept apart until :meth:`finish`, so each receives its contributions
+    source by source in the same sequence whether a source is added
+    alone or as part of a forest.
+    """
+
+    def __init__(self, tree: Octree, spos: np.ndarray, eps2: float,
+                 quadrupole: bool = True, chunk: int = DEFAULT_CHUNK,
+                 precision: str = "float64",
+                 workspace: KernelWorkspace | None = None,
+                 backend="numpy"):
+        from .backends import get_backend
+        self.tree, self.spos = tree, spos
+        self.eps2, self.quadrupole, self.chunk = eps2, quadrupole, chunk
+        self.backend = get_backend(backend)
+        self.workspace = workspace if workspace is not None \
+            else self.backend.make_workspace(chunk, precision)
+        self.workspace.ensure(chunk)
+        self.target_columns = target_columns(spos)
+        self.group_aabbs = group_aabbs(tree, spos)
+        n = len(spos)
+        self.acc_pc, self.acc_pp = np.zeros((n, 3)), np.zeros((n, 3))
+        self.phi_pc, self.phi_pp = np.zeros(n), np.zeros(n)
+
+    def add(self, source, part_pos: np.ndarray, part_mass: np.ndarray,
+            counts: InteractionCounts, exclude_self: bool = False) -> int:
+        """Walk ``source`` and add its forces; returns the peak frontier.
+
+        ``source`` is a tree, a LET-like structure or a forest of them
+        (whose sources' lists the tile evaluator concatenates per group
+        and sums separately, in forest order); ``part_pos``/``part_mass``
+        are its leaf bodies.  ``exclude_self`` is for the target tree
+        as its own source.  Interactions are tallied into ``counts``.
+        """
+        tree = self.tree
+        pc_g, pc_c, pp_g, pp_c, peak = walk_interaction_lists(
+            source, *self.group_aabbs)
+        kw = dict(chunk=self.chunk, workspace=self.workspace,
+                  sview=SourceView.build(source, part_pos, part_mass),
+                  tview=self.target_columns, backend=self.backend)
+        evaluate_pc_pairs(self.acc_pc, self.phi_pc, self.spos, source,
+                          pc_g, pc_c, tree.group_first, tree.group_count,
+                          self.eps2, self.quadrupole, counts, **kw)
+        evaluate_pp_pairs(self.acc_pp, self.phi_pp, self.spos, part_pos,
+                          part_mass, pp_g, pp_c, tree.group_first,
+                          tree.group_count, source.body_first,
+                          source.body_count, self.eps2, counts,
+                          exclude_self=exclude_self, **kw)
+        return peak
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sum p-c and p-p; returns (acc, phi) in the tree's original
+        particle order."""
+        acc = np.empty_like(self.acc_pc)
+        phi = np.empty_like(self.phi_pc)
+        acc[self.tree.order] = self.acc_pc + self.acc_pp
+        phi[self.tree.order] = self.phi_pc + self.phi_pp
+        return acc, phi
+
+
 def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
                 theta: float, eps: float = 0.0,
                 mac: str = "bonsai", quadrupole: bool = True,
@@ -546,20 +617,15 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
     TreeWalkResult with ``acc``/``phi`` in the original particle order.
     """
     pos = np.asarray(pos, dtype=np.float64)
-    mass = np.asarray(mass, dtype=np.float64)
     if tree.group_first is None:
         raise ValueError("make_groups must run on the target tree first")
-
+    spos = pos[tree.order]
     self_gravity = source is None
     if self_gravity:
-        source = tree
-        src_pos_sorted = pos[tree.order]
-        src_mass_sorted = mass[tree.order]
-    else:
-        if source_pos is None or source_mass is None:
-            raise ValueError("source trees need source_pos/source_mass (sorted order)")
-        src_pos_sorted = np.asarray(source_pos, dtype=np.float64)
-        src_mass_sorted = np.asarray(source_mass, dtype=np.float64)
+        source, source_pos = tree, spos
+        source_mass = np.asarray(mass, dtype=np.float64)[tree.order]
+    elif source_pos is None or source_mass is None:
+        raise ValueError("source trees need source_pos/source_mass (sorted order)")
 
     # LET structures arrive with r_crit baked in by the sender (and have
     # no geometric `half`); recompute only for full octrees.
@@ -568,39 +634,13 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
     elif source.r_crit is None:
         raise ValueError("source structure lacks opening radii")
 
-    tpos = pos[tree.order] if not self_gravity else src_pos_sorted
-    gmin, gmax = group_aabbs(tree, tpos)
-    pc_g, pc_c, pp_g, pp_c, max_frontier = walk_interaction_lists(source, gmin, gmax)
-
-    n = len(pos)
-    acc_sorted = np.zeros((n, 3))
-    phi_sorted = np.zeros(n)
     counts = InteractionCounts(quadrupole=quadrupole)
-    eps2 = float(eps) * float(eps)
-
-    from .backends import get_backend
-    be = get_backend(backend)
-    ws = workspace if workspace is not None \
-        else be.make_workspace(chunk, precision)
-    sv = SourceView.build(source, src_pos_sorted, src_mass_sorted)
-    tv = (sv.sx, sv.sy, sv.sz) if self_gravity else target_columns(tpos)
-
-    evaluate_pc_pairs(acc_sorted, phi_sorted, tpos, source, pc_g, pc_c,
-                      tree.group_first, tree.group_count, eps2, quadrupole,
-                      counts, chunk, workspace=ws, sview=sv, tview=tv,
-                      backend=be)
-    evaluate_pp_pairs(acc_sorted, phi_sorted, tpos, src_pos_sorted,
-                      src_mass_sorted, pp_g, pp_c,
-                      tree.group_first, tree.group_count,
-                      source.body_first, source.body_count, eps2,
-                      counts, exclude_self=self_gravity, chunk=chunk,
-                      workspace=ws, sview=sv, tview=tv, backend=be)
-
-    # Scatter back to the original particle order.
-    acc = np.empty_like(acc_sorted)
-    phi = np.empty_like(phi_sorted)
-    acc[tree.order] = acc_sorted
-    phi[tree.order] = phi_sorted
+    fp = ForcePass(tree, spos, float(eps) * float(eps), quadrupole, chunk,
+                   precision, workspace, backend)
+    max_frontier = fp.add(source, np.asarray(source_pos, dtype=np.float64),
+                          np.asarray(source_mass, dtype=np.float64), counts,
+                          exclude_self=self_gravity)
+    acc, phi = fp.finish()
     return TreeWalkResult(acc=acc, phi=phi, counts=counts,
                           n_groups=len(tree.group_first),
                           max_frontier=max_frontier)

@@ -38,27 +38,11 @@ import sys
 from collections import defaultdict
 from typing import Any
 
-from ..core.step import StepBreakdown, TABLE2_PHASES
+from ..core.step import SPAN_TO_FIELD, StepBreakdown, TABLE2_PHASES
 from ..gravity.flops import InteractionCounts
 from ..parallel.statistics import RunStatistics, aggregate_rank_histories
 from .export import validate_chrome_trace
 from .perf import perf_from_trace, perf_lines
-
-#: Phase-span name -> StepBreakdown field.  Spans the driver books under
-#: "Unbalance + Other" (boundary allgather, LET build/send, integrator
-#: kick/drift) all fold into ``other``.
-SPAN_TO_FIELD = {
-    "sorting": "sorting",
-    "domain_update": "domain_update",
-    "tree_construction": "tree_construction",
-    "tree_properties": "tree_properties",
-    "gravity_local": "gravity_local",
-    "gravity_let": "gravity_let",
-    "non_hidden_comm": "non_hidden_comm",
-    "other": "other",
-    "boundary_exchange": "other",
-    "let_exchange": "other",
-}
 
 
 def load_trace(path) -> dict:
@@ -86,8 +70,7 @@ def histories_from_trace(doc: dict
     for e in doc.get("traceEvents", ()):
         if e.get("ph") != "X" or e.get("cat") != "phase":
             continue
-        field = SPAN_TO_FIELD.get(e.get("name"))
-        if field is None:
+        if e.get("name") not in SPAN_TO_FIELD:
             continue
         args = e.get("args", {})
         rank = int(e["tid"])
@@ -97,7 +80,7 @@ def histories_from_trace(doc: dict
         if bd is None:
             bd = by_rank_step[key] = StepBreakdown()
             counts[key] = InteractionCounts(n_pp=0, n_pc=0)
-        setattr(bd, field, getattr(bd, field) + e["dur"] / 1e6)
+        bd.book(e["name"], e["dur"] / 1e6)
         if "n_pp" in args or "n_pc" in args:
             counts[key].n_pp += int(args.get("n_pp", 0))
             counts[key].n_pc += int(args.get("n_pc", 0))

@@ -125,7 +125,6 @@ class NullTracer:
     """Disabled tracer: every operation is a no-op fast path."""
 
     enabled = False
-    deterministic = False
     clock = WallClock()
 
     def now(self, rank: int = 0) -> float:
@@ -193,11 +192,6 @@ class Tracer:
             coerced = coerce_sink(sink)
             self._sinks = list(coerced.sinks) \
                 if isinstance(coerced, TeeSink) else [coerced]
-
-    @property
-    def deterministic(self) -> bool:
-        """True when the clock makes traces run-to-run reproducible."""
-        return getattr(self.clock, "deterministic", False)
 
     @property
     def sinks(self) -> tuple[Sink, ...]:
@@ -311,3 +305,28 @@ class Tracer:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class PhaseClock:
+    """One rank's phase-boundary clock and span recorder.
+
+    ``comm`` is anything with ``tracer`` and ``rank``.  :meth:`now` reads
+    the tracer's clock (wall time when tracing is off) and :meth:`rec`
+    turns two such readings into a ``cat="phase"`` span labelled with
+    ``step`` and returns their difference for the caller to book -- so a
+    :class:`~repro.core.step.StepBreakdown` and the trace are one
+    measurement, two views.
+    """
+
+    def __init__(self, comm, step: int | None = None):
+        self.comm, self.step = comm, step
+
+    def now(self) -> float:
+        return self.comm.tracer.now(self.comm.rank)
+
+    def rec(self, name: str, t0: float, t1: float, **attrs: Any) -> float:
+        if self.step is not None:
+            attrs = {"step": self.step, **attrs}
+        self.comm.tracer.record(name, self.comm.rank, t0, t1, cat="phase",
+                                **attrs)
+        return t1 - t0

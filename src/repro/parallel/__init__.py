@@ -16,7 +16,7 @@ Tree (LET) method exactly as the paper describes:
 
 from .loadbalance import cut_weighted_with_cap
 from .sampling import sample_weighted_keys, serial_sample_boundaries, hierarchical_sample_boundaries
-from .decomposition import DomainDecomposition, domain_update
+from .decomposition import DomainDecomposition, EmptyDomainError, domain_update
 from .exchange import exchange_particles
 from .lettree import LETData, prune_tree, build_let_for_box, boundary_structure, boundary_sufficient_for
 from .gravity_parallel import DistributedForceResult, distributed_forces
@@ -29,6 +29,7 @@ __all__ = [
     "serial_sample_boundaries",
     "hierarchical_sample_boundaries",
     "DomainDecomposition",
+    "EmptyDomainError",
     "domain_update",
     "exchange_particles",
     "LETData",

@@ -19,6 +19,25 @@ from .loadbalance import domain_counts
 from .sampling import hierarchical_sample_boundaries, serial_sample_boundaries
 
 
+class EmptyDomainError(ValueError):
+    """A rank holds no particles where the pipeline needs at least one.
+
+    Raised where a driver first sees the empty local set (N < P, or a
+    domain emptied by an exchange), naming ``rank``, ``step`` and
+    ``phase``; empty domains are not supported.
+    """
+
+    def __init__(self, rank: int, step: int | None, phase: str):
+        self.rank, self.step, self.phase = rank, step, phase
+        super().__init__(f"rank {rank} holds no particles at step {step}, "
+                         f"phase {phase!r}: empty domains are not supported")
+
+    def __reduce__(self):
+        # Crosses rank-process boundaries; replaying ``args`` (the
+        # message) into __init__ would lose the structured fields.
+        return (EmptyDomainError, (self.rank, self.step, self.phase))
+
+
 @dataclasses.dataclass(frozen=True)
 class DomainDecomposition:
     """Immutable snapshot of the p-way key-space partition."""

@@ -41,11 +41,10 @@ def _is_sorted(keys: np.ndarray) -> bool:
 class SortCache:
     """Remembers the previous step's sort permutation and reuses it.
 
-    One cache per (driver, purpose): the serial driver keeps one for its
-    tree build, the parallel driver one for the pre-exchange sort and
-    one for the post-exchange tree build.  ``last_mode`` reports how the
-    latest permutation was obtained (:data:`SORT_MODES`) for span
-    attributes and metrics.
+    One cache per sort site: the driver keeps one for the pre-exchange
+    sort and one for the post-exchange tree build.  ``last_mode``
+    reports how the latest permutation was obtained
+    (:data:`SORT_MODES`) for span attributes and metrics.
     """
 
     __slots__ = ("_order", "last_mode", "_epoch")

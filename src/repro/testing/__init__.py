@@ -7,8 +7,8 @@ Two complementary verification tools for the distributed pipeline:
   (exchange conservation, decomposition partition/ownership, octree
   structure, LET MAC-completeness), callable from any rank mid-run;
 - :mod:`repro.testing.differential` -- an oracle that runs the same
-  initial conditions through the serial and parallel drivers (at any
-  rank count, optionally over a :class:`~repro.faults.FaultyWorld`)
+  initial conditions through the driver at one rank and at any rank
+  count (optionally over a :class:`~repro.faults.FaultyWorld`)
   and asserts force agreement, anchored to direct summation.
 
 See ``docs/TESTING.md`` for the harness guide.

@@ -1,18 +1,20 @@
-"""Differential verification: serial vs. parallel force agreement.
+"""Differential verification: one-rank vs. many-rank force agreement.
 
 The distributed pipeline (SFC decomposition -> exchange -> LET -> walk)
-must produce forces statistically indistinguishable from the serial
+must produce forces statistically indistinguishable from the one-rank
 tree-code; the paper's validity rests on it.  This module runs the same
 initial conditions through :class:`~repro.core.simulation.Simulation`
-and :class:`~repro.core.parallel_simulation.ParallelSimulation` at any
+(the driver on one rank, "serial" below) and
+:class:`~repro.core.parallel_simulation.ParallelSimulation` at any
 rank count (optionally on a fault-injecting world) and compares the
 resulting forces particle-by-particle, with the direct-summation oracle
 of :mod:`repro.core.validation` anchoring both to ground truth.
 
-Tolerances: serial and parallel walks take different MAC decisions near
-domain boundaries, so their forces differ at the order of the tree
+Tolerances: one-rank and many-rank walks take different MAC decisions
+near domain boundaries, so their forces differ at the order of the tree
 approximation error itself -- which scales like theta**2 for the worst
-particle and theta**4 for the median.  The envelopes below were
+particle and theta**4 for the median (at ``n_ranks=1`` the two sides
+are the same computation and agree bitwise).  The envelopes below were
 calibrated against measured differences (a factor >= 4 of headroom) and
 double as regression guards.
 """

@@ -60,6 +60,9 @@ def test_parallel_forces_match_serial(ic, theta, ranks):
     # too so a silent pipeline regression cannot hide behind theta.
     assert report.max_rel < 0.1
     assert report.median_rel < report.median_tolerance
+    if ranks == 1:
+        # ``Simulation`` *is* the one-rank driver: no envelope, bitwise.
+        assert report.max_rel == 0.0
 
 
 def test_serial_decomposition_ablation_matches_too():

@@ -77,3 +77,29 @@ def test_serial_decomposition_method_works(cfg):
     sims = run_parallel_simulation(2, ps, cfg, n_steps=1,
                                    decomposition_method="serial")
     assert sum(s.particles.n for s in sims) == 1500
+
+
+def test_direct_oracle_rejected_on_many_ranks():
+    """``force_method="direct"`` is the one-rank O(N^2) oracle; on more
+    ranks it used to be ignored and the tree code ran instead."""
+    ps = plummer_model(64, seed=63)
+    direct = SimulationConfig(force_method="direct", softening=0.02, dt=0.01)
+    with pytest.raises(ValueError, match=r'force_method="direct".* 2 ranks'):
+        run_parallel_simulation(2, ps, direct)
+    (one,) = run_parallel_simulation(1, ps, direct)
+    assert one.history[0].counts.n_pc == 0
+    assert one.history[0].counts.n_pp == 2 * ps.n * (ps.n - 1)
+
+
+def test_fewer_particles_than_ranks_fails_typed():
+    """N < P names the empty rank, the step and the phase instead of a
+    wrapped 'cannot bound zero particles' from the box reduction."""
+    from repro.parallel import EmptyDomainError
+    with pytest.raises(EmptyDomainError) as ei:
+        run_parallel_simulation(4, plummer_model(3, seed=64),
+                                transport="threads", timeout=30.0)
+    err = ei.value
+    assert isinstance(err, ValueError)
+    assert (err.rank, err.step, err.phase) == (0, 0, "init")
+    for name in ("rank 0", "step 0", "'init'"):
+        assert name in str(err)

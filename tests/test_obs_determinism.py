@@ -209,3 +209,26 @@ def test_serial_trace_byte_identical():
         return chrome_trace_json(tracer)
 
     assert run() == run()
+
+
+def test_simulation_and_one_rank_run_share_one_trace_schema(tmp_path):
+    """One driver, one set of spans: ``Simulation`` and the one-rank
+    ``run_parallel_simulation`` export the same JSONL bytes, and the
+    report tool validates that trace like any multi-rank one."""
+    from repro.obs import write_chrome_trace
+    from repro.obs.report import main as report_main
+    cfg = SimulationConfig(theta=0.6, softening=0.02, dt=0.01)
+    front, ranks = Tracer(clock=VirtualClock()), Tracer(clock=VirtualClock())
+    Simulation(plummer_model(N, seed=5), cfg, trace=front).evolve(2)
+    run_parallel_simulation(1, plummer_model(N, seed=5), cfg, n_steps=2,
+                            trace=ranks)
+    write_jsonl(front, tmp_path / "front.jsonl")
+    write_jsonl(ranks, tmp_path / "ranks.jsonl")
+    assert (tmp_path / "front.jsonl").read_bytes() == \
+        (tmp_path / "ranks.jsonl").read_bytes()
+    phases = {e.name for e in front.events() if e.cat == "phase"}
+    assert phases == {"sorting", "domain_update", "tree_construction",
+                      "tree_properties", "boundary_exchange", "let_exchange",
+                      "gravity_local", "other"}
+    write_chrome_trace(front, tmp_path / "front.json")
+    assert report_main([str(tmp_path / "front.json"), "--validate"]) == 0

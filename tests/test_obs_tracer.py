@@ -102,7 +102,7 @@ def test_events_ordered_by_rank_then_seq():
 def test_null_tracer_is_inert_and_cheap():
     nt = NULL_TRACER
     assert isinstance(nt, NullTracer)
-    assert not nt.enabled and not nt.deterministic
+    assert not nt.enabled and not nt.clock.deterministic
     with nt.span("anything", rank=0, step=1) as sp:
         sp.add(n_pp=1)
     nt.record("x", 0, 0.0, 1.0)
@@ -126,7 +126,7 @@ def test_tracer_clear():
 
 def test_default_clock_is_wall():
     tr = Tracer()
-    assert not tr.deterministic
+    assert not tr.clock.deterministic
     with tr.span("s", rank=0):
         time.sleep(0.001)
     (e,) = tr.events()

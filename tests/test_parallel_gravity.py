@@ -127,6 +127,7 @@ def test_lets_sent_count_reasonable(plummer_case):
 
 
 def test_empty_local_set_rejected():
+    from repro.parallel import EmptyDomainError
     from repro.particles import ParticleSet
 
     def prog(comm):
@@ -134,5 +135,8 @@ def test_empty_local_set_rejected():
         box = BoundingBox(origin=np.zeros(3), size=1.0)
         distributed_forces(comm, ParticleSet.empty(), cfg, box)
 
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError) as ei:
         spmd_run(2, prog)
+    cause = ei.value.__cause__
+    assert isinstance(cause, EmptyDomainError)
+    assert cause.step is None and cause.phase == "tree_construction"

@@ -63,6 +63,6 @@ def test_capacity_combinations(nleaf, ncrit):
     # forces were computed post-drift; compare against serial instead
     serial = Simulation(ps.copy(), cfg)
     serial.evolve(1)
-    err = np.linalg.norm(acc - serial._acc, axis=1)
-    scale = np.linalg.norm(serial._acc, axis=1)
+    err = np.linalg.norm(acc - serial.acceleration, axis=1)
+    scale = np.linalg.norm(serial.acceleration, axis=1)
     assert np.median(err / scale) < 1e-3
