@@ -21,12 +21,14 @@ Evaluation: pairs are stable-sorted by group once.  A group's ``m``
 targets are a contiguous slice of the sorted target columns (no gather);
 its ``k`` list entries are gathered once per operand row (``O(m + k)``
 elements, not ``O(m k)``); the separations ``src[None, :] -
-tgt[:, None]`` are written straight into ``(m, k)`` views of a
-preallocated :class:`KernelWorkspace`; the in-place kernels run on the
-tile with mass / quadrupole rows broadcast, never materialised; and the
-tile is summed along the list axis in float64 into the group's slice of
-the accumulators.  ``chunk`` bounds the elements per tile: a longer list
-is split along the list axis.  The cost of a tile is ~90 ufunc calls
+tgt[:, None]`` are written straight into ``(m, k)`` views of a reused
+:class:`KernelWorkspace` (grown to the largest tile requested); the
+in-place kernels run on the tile with mass / quadrupole rows broadcast,
+never materialised; and the tile is summed along the list axis in
+float64 into the group's slice of the accumulators.  ``chunk`` bounds
+the elements per tile and reserves no memory: a longer list is split
+along the list axis, and a ``chunk`` wider than every tile is one
+unsplit pass.  The cost of a tile is ~90 ufunc calls
 whatever its size, so the evaluator is fast where ``m k`` is large: over
 a forest of sources (:mod:`repro.gravity.forest`) a group's list is the
 sources' lists laid end to end in one tile, each source's part summed by
@@ -44,6 +46,7 @@ this replaced lives on as the test oracle
 from __future__ import annotations
 
 import dataclasses
+import mmap
 
 import numpy as np
 
@@ -77,15 +80,18 @@ class TreeWalkResult:
 
 
 class KernelWorkspace:
-    """Preallocated scratch arena for the tile evaluators.
+    """Reusable scratch arena for the tile evaluators.
 
     One workspace serves every tile of every source a rank evaluates:
     twelve tile buffers in the evaluation dtype (the three separations,
     which become the accelerations, and nine kernel temporaries; an
     ``(m, k)`` tile is a reshaped prefix of each) plus one row buffer
-    for ``tr Q``.  ``ensure`` grows the arena when a tile exceeds the
-    current capacity (only a group of more than ``chunk`` particles
-    does) and is a no-op afterwards -- steady-state evaluation performs
+    for ``tr Q``.  The arena starts empty whatever ``chunk`` is:
+    ``chunk`` bounds how wide the evaluators cut a tile and reserves no
+    memory (the argument keeps
+    :meth:`~repro.gravity.backends.ComputeBackend.make_workspace`'s
+    signature).  :meth:`tiles` grows the arena to the largest tile
+    requested and reuses it from then on -- a warm evaluation performs
     no tile-sized allocation; the ``O(m + k)`` operand rows of a group
     are ordinary small arrays.
 
@@ -106,15 +112,21 @@ class KernelWorkspace:
         self.precision = precision
         self.dtype = np.float32 if precision == "float32" else np.float64
         self.chunk = 0
-        self.ensure(int(chunk))
+        self._tiles: list[np.ndarray] = []
+        self.trq = np.empty(0, dtype=self.dtype)
 
     def ensure(self, chunk: int) -> "KernelWorkspace":
-        """Grow the arena to hold tiles of ``chunk`` elements."""
+        """Grow the arena to hold tiles of ``chunk`` elements (never
+        shrinks it)."""
         if chunk > self.chunk:
             self.chunk = int(chunk)
-            self._tiles = [np.empty(self.chunk, dtype=self.dtype)
-                           for _ in range(self.N_TILES)]
-            self.trq = np.empty(self.chunk, dtype=self.dtype)
+            # One private anonymous mapping per size: an arena grown
+            # past goes back to the OS whole instead of leaving holes
+            # in the malloc heap, which would raise peak RSS.
+            block = np.frombuffer(
+                mmap.mmap(-1, self.nbytes, flags=mmap.MAP_PRIVATE),
+                dtype=self.dtype).reshape(self.N_TILES + 1, self.chunk)
+            *self._tiles, self.trq = block
         return self
 
     def tiles(self, m: int, k: int, n: int = N_TILES) -> list[np.ndarray]:
@@ -124,7 +136,7 @@ class KernelWorkspace:
 
     @property
     def nbytes(self) -> int:
-        """Total arena size (for memory accounting)."""
+        """Size of the arena as grown so far (for memory accounting)."""
         return (self.chunk * (self.N_TILES + 1)
                 * np.dtype(self.dtype).itemsize)
 
@@ -532,7 +544,6 @@ class ForcePass:
         self.backend = get_backend(backend)
         self.workspace = workspace if workspace is not None \
             else self.backend.make_workspace(chunk, precision)
-        self.workspace.ensure(chunk)
         self.target_columns = target_columns(spos)
         self.group_aabbs = group_aabbs(tree, spos)
         n = len(spos)
@@ -604,9 +615,11 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
     quadrupole:
         Evaluate quadrupole corrections (65-flop kernel) or monopole only.
     chunk, precision, workspace:
-        Tile size and evaluation dtype (see module docstring).  A
-        provided ``workspace`` overrides ``precision``; reuse one across
-        calls to keep steady-state evaluation allocation-free.
+        Upper bound on the elements of one tile, and the evaluation
+        dtype (see module docstring).  The workspace grows to the
+        largest tile requested, never to ``chunk`` itself.  A provided
+        ``workspace`` overrides ``precision``; reuse one across calls so
+        that only the first pass grows it.
     backend:
         Compute-backend name or instance executing the kernels
         (:mod:`repro.gravity.backends`); the walk, the pair lists and

@@ -48,7 +48,11 @@ from repro.gravity.kernels import (
     point_forces_on_targets,
     pp_interactions,
 )
-from repro.gravity.treewalk import evaluate_pc_pairs, evaluate_pp_pairs
+from repro.gravity.treewalk import (
+    KernelWorkspace,
+    evaluate_pc_pairs,
+    evaluate_pp_pairs,
+)
 from repro.ics import plummer_model
 from repro.obs import Tracer, VirtualClock, chrome_trace_json
 from repro.octree import build_octree, compute_moments, make_groups
@@ -281,6 +285,40 @@ def test_jit_workspace_contract():
     with pytest.raises(ValueError):
         JitWorkspace(8, "float16")
     assert isinstance(get_backend("numpy").make_workspace(8).nbytes, int)
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_kernel_workspace_grows_to_the_largest_tile(precision):
+    # ``chunk`` bounds a tile's width; it is not an allocation, so even
+    # a chunk far larger than memory reserves nothing up front.
+    ws = KernelWorkspace(1 << 40, precision)
+    assert ws.nbytes == 0
+    per_tile = (KernelWorkspace.N_TILES + 1) * np.dtype(precision).itemsize
+    m, k = 64, 300
+    tiles = ws.tiles(m, k)
+    assert [t.shape for t in tiles] == [(m, k)] * KernelWorkspace.N_TILES
+    assert ws.nbytes == m * k * per_tile and len(ws.trq) >= k
+    # A smaller tile reuses the arena: it neither grows nor shrinks.
+    grown = ws.nbytes
+    ws.tiles(8, 10, 5)
+    assert ws.nbytes == grown
+
+
+def test_force_pass_grows_workspace_only_to_its_tiles():
+    # The drivers' persistent workspace: a chunk wider than every tile
+    # is one unsplit pass, and only the first pass grows the arena.
+    ps = plummer_model(200, seed=4)
+    tree = build_octree(ps.pos, nleaf=8)
+    compute_moments(tree, ps.pos, ps.mass)
+    make_groups(tree, 16)
+    ws = KernelWorkspace(1 << 40)
+    kw = dict(theta=THETA, eps=0.02, chunk=1 << 40, workspace=ws)
+    first = tree_forces(tree, ps.pos, ps.mass, **kw)
+    grown = ws.nbytes
+    assert 0 < grown <= 13 * 8 * ps.n ** 2
+    second = tree_forces(tree, ps.pos, ps.mass, **kw)
+    assert ws.nbytes == grown
+    assert first.acc.tobytes() == second.acc.tobytes()
 
 
 def test_fallback_warmup_idempotent():
