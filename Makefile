@@ -43,11 +43,11 @@ test-transport:
 	pytest tests/harness/test_faults.py -k "parity or transport or crash"
 
 # Compute-backend registry + equivalence suite (docs/PERFORMANCE.md §6):
-# registry/driver threading, numpy-default bitwise gates, oracle
-# agreement for every backend the host carries (numba skips when
-# absent -- install with `pip install -e .[numba]` to exercise the JIT).
+# registry/driver threading, the compiled kernels against the numpy and
+# flat-pair oracles (skipped where no `cc` exists), the build cache, and
+# the cross-transport matrix at 1/2/4/8 ranks on the compiled backend.
 test-backends:
-	pytest tests/test_gravity_backends.py \
+	pytest tests/test_gravity_backends.py tests/test_gravity_compiled.py \
 	       -m "harness_slow or not harness_slow"
 
 bench:
@@ -67,7 +67,7 @@ bench-transport:
 
 # Per-backend kernel timing: oracle-equivalence smoke, then one
 # kernel_backends run appended to the history with the count gate
-# judged (numba rows appear when the JIT extra is installed; see
+# judged (compiled rows appear where `cc` exists; see
 # docs/PERFORMANCE.md §6).  Scale with BACKEND_BENCH_N / _REPEATS.
 bench-backends:
 	pytest benchmarks/bench_backends.py -q

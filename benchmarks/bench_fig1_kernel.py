@@ -84,10 +84,11 @@ def test_measured_backend_kernel_gflops(pair_data, results_dir):
     Times every *available* compute backend's raw pair-batch kernels
     (``backend.pp_kernel`` / ``backend.pc_kernel``) with manual best-of
     timing rather than the benchmark fixture, so the row count adapts to
-    whatever backends the host carries -- on a numba-free container this
-    is a numpy-only table, in the backend-matrix CI job the numba column
-    appears next to it.  Kernel output must match the reference batch
-    kernels, so the table can never drift from the physics."""
+    whatever backends the host carries.  The compiled backend's own
+    kernels take whole group lists, not pair batches: it inherits
+    numpy's batch kernels, so its row repeats numpy's.  Kernel output
+    must match the reference batch kernels, so the table can never
+    drift from the physics."""
     d, m, quad = pair_data
     ref_pp = pp_interactions(d[:, 0], d[:, 1], d[:, 2], m, 0.01)
     ref_pc = pc_interactions(d[:, 0], d[:, 1], d[:, 2], m, quad, 0.01)

@@ -39,13 +39,13 @@ class SimulationConfig:
     #: Kernel evaluation dtype: "float64", or "float32" (f32 kernels with
     #: f64 accumulators; bounded by the differential oracle).
     precision: str = "float64"
-    #: Compute backend executing the interaction kernels: "numpy" (the
-    #: bitwise float64 reference) or "numba" (fused JIT kernels, optional
-    #: dependency) -- or any name registered via
-    #: :func:`repro.gravity.backends.register_backend`.  Walks and
+    #: Compute backend executing the interaction kernels: "auto" (the C
+    #: kernels where the host's ``cc`` builds them, else numpy),
+    #: "compiled", "numpy" (the float64 oracle) -- or any name registered
+    #: via :func:`repro.gravity.backends.register_backend`.  Walks and
     #: interaction counts are backend-independent; see
     #: docs/PERFORMANCE.md §6.
-    backend: str = "numpy"
+    backend: str = "auto"
     #: LET drain ordering (:data:`LET_DRAIN_MODES`): "incremental" walks
     #: the boundary batch while LETs are in flight, then takes the LETs
     #: in rank order -- overlapped *and* bitwise reproducible run to run
@@ -82,8 +82,8 @@ class SimulationConfig:
             raise ValueError("chunk must be >= 1")
         if self.precision not in PRECISIONS:
             raise ValueError(f"unknown precision {self.precision!r}")
-        from .gravity.backends import registered_backends
-        if self.backend not in registered_backends():
+        from .gravity.backends import AUTO, registered_backends
+        if self.backend != AUTO and self.backend not in registered_backends():
             raise ValueError(f"unknown backend {self.backend!r}; "
                              f"registered: {registered_backends()}")
         if self.let_drain not in LET_DRAIN_MODES:

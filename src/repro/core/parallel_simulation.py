@@ -172,9 +172,8 @@ class ParallelSimulation:
         self._tree_sort_cache = SortCache()
         self._workspace: KernelWorkspace | None = None
         self._keys: np.ndarray | None = None
-        # Resolve the compute backend once per rank (fails fast when the
-        # runtime is missing) and pay any JIT warm-up outside the timed
-        # step phases.
+        # Resolve the compute backend once per rank (fails fast when it
+        # cannot run here) and build its kernels outside the timed steps.
         from ..gravity.backends import get_backend
         self._backend = get_backend(self.config.backend)
         self._backend.warmup(self.config.precision)

@@ -7,8 +7,9 @@ group-centric Barnes-Hut tree walk with interaction-count accounting
 identical to Table II's "Particle-Particle" and "Particle-Cell" rows.
 
 Kernel *execution* is pluggable: :mod:`repro.gravity.backends` registers
-compute backends (numpy reference / numba JIT) selected
-via ``SimulationConfig.backend``; walks and counts are backend-free.
+compute backends (C kernels built with the host's ``cc`` / the numpy
+oracle) selected via ``SimulationConfig.backend``; walks and counts are
+backend-free.
 """
 
 from .backends import (

@@ -3,15 +3,17 @@
 The tree walk produces pair lists; a *backend* turns them into
 accumulated forces.  ``SimulationConfig.backend`` selects one by name:
 
-- ``"numpy"`` -- the workspace ufunc kernels, unchanged: the bitwise
-  float64 reference and the default (:mod:`.numpy_backend`);
-- ``"numba"`` -- fused ``@njit(cache=True)`` loop nests, optional
-  dependency ``pip install repro[numba]`` (:mod:`.numba_backend`).
+- ``"compiled"`` -- the C group-list kernels, built with the host's
+  ``cc`` on first use (:mod:`.compiled`);
+- ``"numpy"`` -- the workspace ufunc kernels: the float64 oracle and
+  the fallback where no compiler exists (:mod:`.numpy_backend`);
+- ``"auto"`` (the default) -- ``compiled`` where it builds, else
+  ``numpy``.
 
-Registry rules: registration is by ``backend.name`` and never imports
-the backend's runtime; :func:`get_backend` raises ``ValueError`` for
-unknown names and :class:`BackendUnavailable` (with the probe's reason)
-for known-but-unusable ones.  Projects and tests can
+Registry rules: registration is by ``backend.name`` and never builds
+anything; :func:`get_backend` raises ``ValueError`` for unknown names and
+:class:`BackendUnavailable` (with the probe's reason) for
+known-but-unusable ones.  Projects and tests can
 :func:`register_backend` their own implementations; see
 ``docs/PERFORMANCE.md`` §6 for the contract a backend must honour.
 """
@@ -21,8 +23,11 @@ from __future__ import annotations
 import re
 
 from .base import BackendUnavailable, ComputeBackend
-from .numba_backend import JitWorkspace, NumbaBackend
+from .compiled import CompiledBackend
 from .numpy_backend import NumpyBackend
+
+#: The name that resolves to the fastest backend this host can run.
+AUTO = "auto"
 
 #: Name-keyed backend singletons, in registration order.
 _REGISTRY: dict[str, ComputeBackend] = {}
@@ -66,13 +71,17 @@ def get_backend(name) -> ComputeBackend:
     """Resolve ``name`` to a usable backend instance.
 
     Accepts a :class:`ComputeBackend` instance as a pass-through so hot
-    paths can resolve once and hand the object down.  Raises
+    paths can resolve once and hand the object down.  ``"auto"`` is
+    ``compiled`` where it is available, else ``numpy``.  Raises
     ``ValueError`` for unregistered names and
     :class:`BackendUnavailable` for registered ones whose runtime probe
     fails.
     """
     if isinstance(name, ComputeBackend):
         return name
+    if name == AUTO:
+        compiled = _REGISTRY.get("compiled")
+        name = "compiled" if compiled and compiled.available() else "numpy"
     backend = _REGISTRY.get(name)
     if backend is None:
         raise ValueError(f"unknown compute backend {name!r}; "
@@ -85,13 +94,13 @@ def get_backend(name) -> ComputeBackend:
 
 
 register_backend(NumpyBackend())
-register_backend(NumbaBackend())
+register_backend(CompiledBackend())
 
 __all__ = [
+    "AUTO",
     "BackendUnavailable",
+    "CompiledBackend",
     "ComputeBackend",
-    "JitWorkspace",
-    "NumbaBackend",
     "NumpyBackend",
     "available_backends",
     "get_backend",

@@ -24,16 +24,13 @@ The contract every backend must honour:
   are float64 views over the caller's per-particle sums in sorted
   target order; lower-precision kernels upcast on accumulation, as the
   paper's single-precision GPU kernels do.
-- **no eager heavy imports.**  Constructing or registering a backend
-  must not import its runtime (numba): probing happens in
-  ``available()`` via ``importlib.util.find_spec`` and the import is
-  deferred to first use, so hosts without the package pay nothing and
-  skip cleanly.
+- **nothing built at import.**  Constructing or registering a backend
+  must not compile or load its runtime: that happens in ``available()``
+  or ``warmup()``, so a host that cannot build it pays nothing and
+  falls back to numpy.
 """
 
 from __future__ import annotations
-
-import importlib.util
 
 import numpy as np
 
@@ -42,24 +39,8 @@ class BackendUnavailable(RuntimeError):
     """Requested compute backend's runtime is not usable on this host.
 
     Raised by :func:`repro.gravity.backends.get_backend` with the
-    backend's own diagnosis (package missing, ...).
+    backend's own diagnosis (no compiler, the compiler's errors, ...).
     """
-
-
-def module_missing(module: str) -> str | None:
-    """``None`` if ``module`` is importable, else a human reason.
-
-    Uses ``find_spec`` so the probe never actually imports the package
-    (numba import alone costs ~1 s).
-    """
-    try:
-        found = importlib.util.find_spec(module) is not None
-    except (ImportError, ValueError):
-        found = False
-    if found:
-        return None
-    return (f"python package {module!r} is not installed "
-            f"(pip install repro[{module}])")
 
 
 class ComputeBackend:
@@ -76,7 +57,8 @@ class ComputeBackend:
     # -- availability -----------------------------------------------------
 
     def available(self) -> bool:
-        """Whether this backend can run on this host (cheap, no import)."""
+        """Whether this backend can run on this host (cheap after the
+        first call)."""
         return self.unavailable_reason() is None
 
     def unavailable_reason(self) -> str | None:
@@ -84,22 +66,15 @@ class ComputeBackend:
         return None
 
     def warmup(self, precision: str = "float64") -> None:
-        """One-time preparation (JIT compilation, context creation).
-
-        Drivers call this at construction time, *outside* every timed
-        region, so compilation latency never pollutes a phase span or a
-        benchmark.  Must be idempotent.  No-op by default.
-        """
+        """One-time preparation (building, loading a library), called by
+        the drivers at construction, outside every timed region.  Must be
+        idempotent.  No-op by default."""
 
     # -- workspaces -------------------------------------------------------
 
     def make_workspace(self, chunk: int, precision: str = "float64"):
-        """Scratch arena for chunked evaluation (backend-specific).
-
-        The default is the NumPy :class:`KernelWorkspace`; fused
-        backends that need no ufunc scratch return a lightweight
-        stand-in carrying only ``chunk``/``precision``.
-        """
+        """The NumPy :class:`KernelWorkspace`: it starts empty, so a
+        backend that asks it for no tiles reads only its ``precision``."""
         from ..treewalk import KernelWorkspace
         return KernelWorkspace(chunk, precision)
 

@@ -1,16 +1,11 @@
-"""NumPy reference backend: the float64 oracle and the default.
+"""NumPy reference backend: the float64 oracle and the fallback.
 
 Delegates straight to the group-tile evaluators in
-:mod:`repro.gravity.treewalk` (the workspace ``*_ws`` kernels on one
-dense tile per group) and the allocating kernels in
+:mod:`repro.gravity.treewalk` and the allocating kernels in
 :mod:`repro.gravity.kernels` -- no arithmetic lives here, so selecting
-``backend="numpy"`` is byte-for-byte calling them directly (forces,
-counts, traces).  Other backends are validated against this one.
-
-``NumpyBackend`` accepts a ``name`` override so tests can register the
-reference implementation under a second name and exercise the full
-driver/telemetry threading of a non-default backend without needing
-numba or a GPU in the container.
+``backend="numpy"`` is byte-for-byte calling them directly.  A ``name``
+override registers it a second time, so tests can drive a non-default
+backend through the drivers and telemetry with reference numerics.
 """
 
 from __future__ import annotations

@@ -17,22 +17,19 @@ each received LET through this function and sums the partial forces.
 :mod:`repro.gravity.forest` batches many remote structures into a single
 walk over a concatenated cell forest.
 
-Evaluation: pairs are stable-sorted by group once.  A group's ``m``
-targets are a contiguous slice of the sorted target columns (no gather);
-its ``k`` list entries are gathered once per operand row (``O(m + k)``
-elements, not ``O(m k)``); the separations ``src[None, :] -
-tgt[:, None]`` are written straight into ``(m, k)`` views of a reused
-:class:`KernelWorkspace` (grown to the largest tile requested); the
+Evaluation: pairs are sorted by group once (:func:`group_sorted_runs`)
+and handed to the compute backend (:mod:`repro.gravity.backends`); by
+default the C kernels stream each group's list through registers.  The
+numpy evaluator here is the oracle and the fallback: a group's ``m``
+targets are a contiguous slice of the sorted target columns, its ``k``
+list entries are gathered once per operand row, the separations are
+written into ``(m, k)`` views of a reused :class:`KernelWorkspace`, the
 in-place kernels run on the tile with mass / quadrupole rows broadcast,
-never materialised; and the tile is summed along the list axis in
-float64 into the group's slice of the accumulators.  ``chunk`` bounds
-the elements per tile and reserves no memory: a longer list is split
-along the list axis, and a ``chunk`` wider than every tile is one
-unsplit pass.  The cost of a tile is ~90 ufunc calls
-whatever its size, so the evaluator is fast where ``m k`` is large: over
-a forest of sources (:mod:`repro.gravity.forest`) a group's list is the
-sources' lists laid end to end in one tile, each source's part summed by
-itself so the result is bitwise that of one evaluation per source.
+and the tile is summed along the list axis in float64.  ``chunk`` bounds
+the elements per numpy tile and reserves no memory.  Over a forest of
+sources (:mod:`repro.gravity.forest`) a group's list is the sources'
+lists laid end to end, each source's part summed by itself, so the
+result is bitwise that of one evaluation per source, in either backend.
 ``precision="float32"`` evaluates in single precision with float64
 accumulators.
 
@@ -183,8 +180,7 @@ class SourceView:
         v.com_x, v.com_y, v.com_z = target_columns(source.com)
         v.mass = np.ascontiguousarray(source.mass)
         q = getattr(source, "quad", None)
-        v.quad = tuple(np.ascontiguousarray(q[:, k]) for k in range(6)) \
-            if q is not None else None
+        v.quad = np.ascontiguousarray(q.T) if q is not None else None
         v.cell_offsets = getattr(source, "cell_offsets", None)
         return v
 
@@ -314,17 +310,19 @@ def _expand_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
 # Tile evaluators: one dense (group x list) tile per group.
 # ---------------------------------------------------------------------------
 
-def _group_runs(pg: np.ndarray, pc: np.ndarray,
-                cell_offsets: np.ndarray | None = None):
-    """Sort a pair list by group and yield ``(group, entries, cuts)``.
+def group_sorted_runs(pg: np.ndarray, pc: np.ndarray,
+                      cell_offsets: np.ndarray | None = None):
+    """Sort a pair list by group into runs: ``(run_start, run_group,
+    entries)``.
 
-    Each yield is one group's whole interaction list.  Over a forest
-    (``cell_offsets`` the prefix of its sources' cell counts) the list
-    is the sources' lists one after another, each in walk order, and
-    ``cuts`` the offsets at which they start (plus the list's length);
-    a single source gives ``cuts = [0, len(entries)]``.  Both sorts are
-    stable, and walk output is a concatenation of per-level slices each
-    already ascending in ``g``, so they run in near-linear time.
+    ``entries`` are the list entries ``pc`` in group order; run ``r`` is
+    ``entries[run_start[r]:run_start[r + 1]]``, all of group
+    ``run_group[r]``.  A single source gives one run per group, its whole
+    list in walk order.  Over a forest (``cell_offsets`` the prefix of
+    its sources' cell counts) a group's list is the sources' lists one
+    after another, each in walk order and each its own run.  Both sorts
+    are stable, and walk output is a concatenation of per-level slices
+    each already ascending in ``g``, so they run in near-linear time.
     """
     if cell_offsets is None:
         order = np.argsort(pg, kind="stable")
@@ -332,18 +330,28 @@ def _group_runs(pg: np.ndarray, pc: np.ndarray,
         src = np.searchsorted(cell_offsets, pc, side="right")
         order = np.lexsort((src, pg))
         src = src[order]
-    gs, cs = pg[order], pc[order]
-    new_group = gs[1:] != gs[:-1]
-    new_run = new_group if cell_offsets is None \
-        else new_group | (src[1:] != src[:-1])
-    runs = np.concatenate(([0], np.flatnonzero(new_run) + 1, [len(gs)]))
-    # Position in ``runs`` of each group's first run.
+    gs = pg[order]
+    new_run = np.ones(len(gs), dtype=bool)
+    new_run[1:] = gs[1:] != gs[:-1]
+    if cell_offsets is not None:
+        new_run[1:] |= src[1:] != src[:-1]
+    run_start = np.append(np.flatnonzero(new_run), len(gs))
+    return run_start, gs[run_start[:-1]], pc[order]
+
+
+def _group_runs(pg: np.ndarray, pc: np.ndarray,
+                cell_offsets: np.ndarray | None = None):
+    """Yield ``(group, entries, cuts)``, one group's whole list at a time:
+    its runs of :func:`group_sorted_runs` laid end to end, and ``cuts``
+    the offsets at which they start (plus the list's length)."""
+    run_start, run_group, entries = group_sorted_runs(pg, pc, cell_offsets)
     first = np.concatenate(
-        ([0], np.flatnonzero(new_group[runs[1:-1] - 1]) + 1,
-         [len(runs) - 1])).tolist()
+        ([0], np.flatnonzero(run_group[1:] != run_group[:-1]) + 1,
+         [len(run_group)])).tolist()
     for i, j in zip(first[:-1], first[1:]):
-        a = int(runs[i])
-        yield int(gs[a]), cs[a:runs[j]], runs[i:j + 1] - a
+        a = int(run_start[i])
+        yield (int(run_group[i]), entries[a:run_start[j]],
+               run_start[i:j + 1] - a)
 
 
 def _list_tiles(ws: KernelWorkspace, n_buf: int, tview, gf: int, m: int,
@@ -402,7 +410,7 @@ def _evaluate_pc_tiles(accx, accy, accz, accp,
     if quadrupole and sv.quad is None:
         raise ValueError("quadrupole evaluation needs source quadrupoles")
     cols = (sv.com_x, sv.com_y, sv.com_z, sv.mass) \
-        + (sv.quad if quadrupole else ())
+        + (tuple(sv.quad) if quadrupole else ())
     acc_cols = (accx, accy, accz, accp)
     for g, cells, cuts in _group_runs(pc_g, pc_c, sv.cell_offsets):
         gf, m = int(group_first[g]), int(group_count[g])
@@ -467,7 +475,7 @@ def evaluate_pc_pairs(acc: np.ndarray, phi: np.ndarray,
                       workspace: KernelWorkspace | None = None,
                       sview: SourceView | None = None,
                       tview=None,
-                      backend="numpy") -> None:
+                      backend="auto") -> None:
     """Evaluate particle-cell pairs, accumulating into acc/phi (sorted order).
 
     ``backend`` is a registered compute-backend name or a resolved
@@ -499,7 +507,7 @@ def evaluate_pp_pairs(acc: np.ndarray, phi: np.ndarray,
                       workspace: KernelWorkspace | None = None,
                       sview: SourceView | None = None,
                       tview=None,
-                      backend="numpy") -> None:
+                      backend="auto") -> None:
     """Evaluate particle-particle (group x leaf) pairs.
 
     ``exclude_self`` zeroes the contribution of identical sorted indices,
@@ -537,7 +545,7 @@ class ForcePass:
                  quadrupole: bool = True, chunk: int = DEFAULT_CHUNK,
                  precision: str = "float64",
                  workspace: KernelWorkspace | None = None,
-                 backend="numpy"):
+                 backend="auto"):
         from .backends import get_backend
         self.tree, self.spos = tree, spos
         self.eps2, self.quadrupole, self.chunk = eps2, quadrupole, chunk
@@ -595,7 +603,7 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
                 chunk: int = DEFAULT_CHUNK,
                 precision: str = "float64",
                 workspace: KernelWorkspace | None = None,
-                backend="numpy") -> TreeWalkResult:
+                backend="auto") -> TreeWalkResult:
     """Compute gravitational forces on ``tree``'s particles.
 
     When ``source`` is omitted the walk is self-gravity over the local

@@ -68,7 +68,7 @@ def perf_from_trace(doc: dict, variant: str = "tuned") -> dict[str, Any] | None:
     # (rank, phase) -> [seconds, n_pp, n_pc]
     rank_phase: dict[tuple[int, str], list] = {}
     # backend name -> [seconds, n_pp, n_pc]; spans without a ``backend``
-    # attribute are the numpy default (non-default backends stamp it).
+    # attribute ran numpy (every other backend stamps it).
     backend_acc: dict[str, list] = {}
     # step -> rank -> seconds (gravity phases / all Table II phases)
     step_gravity: dict[int, dict[int, float]] = defaultdict(

@@ -188,9 +188,9 @@ class _ForceStages:
             self.tree, self.spos, cfg.softening ** 2, cfg.quadrupole,
             cfg.chunk, cfg.precision, workspace,
             backend if backend is not None else cfg.backend)
-        # Telemetry: non-default backends stamp their gravity spans (the
-        # default stays unstamped so numpy traces are byte-identical to
-        # the pre-registry era; perf_from_trace reads absence as "numpy").
+        # Telemetry: backends other than numpy stamp their gravity spans
+        # (numpy stays unstamped so its traces are byte-identical to the
+        # pre-registry era; perf_from_trace reads absence as "numpy").
         self.bk_attr = {} if fp.backend.name == "numpy" \
             else {"backend": fp.backend.name}
         t0 = ck.now()

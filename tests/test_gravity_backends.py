@@ -2,24 +2,25 @@
 
 The invariants this suite pins down:
 
-- the registry resolves names, reports availability without importing
-  heavy runtimes, and fails with actionable errors;
-- ``backend="numpy"`` (the default) is byte-for-byte the pre-registry
-  behaviour: identical forces, counts and span attributes;
-- every *available* registered backend -- plus the numba backend's
-  pure-Python fallback, which runs everywhere -- agrees with the
-  numpy-float64 oracle inside the differential theta^2 envelope on
-  random problems, with bitwise-identical interaction counts (counts
-  are a walk property no backend may change);
-- backends whose package is absent skip, never fail, and are never
-  imported at module load.
+- the registry resolves names (``"auto"`` to the compiled backend where
+  it builds, else numpy), builds nothing at import, and fails with
+  actionable errors;
+- ``backend="numpy"`` is byte-for-byte the evaluator it wraps, and the
+  span attributes name whatever backend ran;
+- every *available* registered backend agrees with the numpy-float64
+  oracle inside the differential theta^2 envelope on random problems,
+  with bitwise-identical interaction counts (counts are a walk property
+  no backend may change);
+- a host without a compiler falls back to numpy and skips the compiled
+  checks, never fails them.
 
-The real numba runtime is exercised by the same tests when
-installed (CI's ``backend-matrix`` job); this container validates the
-fused pass algorithm through the fallback.
+``tests/test_gravity_compiled.py`` holds the compiled backend's own
+oracle, bitwise and build-cache tests.
 """
 
 import json
+import shutil
+import subprocess
 import sys
 import warnings
 
@@ -33,8 +34,8 @@ from repro.core.simulation import Simulation
 from repro.gravity import tree_forces
 from repro.gravity.backends import (
     BackendUnavailable,
+    CompiledBackend,
     ComputeBackend,
-    NumbaBackend,
     NumpyBackend,
     available_backends,
     get_backend,
@@ -42,7 +43,6 @@ from repro.gravity.backends import (
     registered_backends,
     unregister_backend,
 )
-from repro.gravity.backends.numba_backend import JitWorkspace
 from repro.gravity.kernels import (
     pc_interactions,
     point_forces_on_targets,
@@ -61,9 +61,7 @@ from repro.testing.differential import max_rel_difference
 THETA = 0.5
 ENVELOPE = 0.3 * THETA ** 2
 
-#: The fallback runs the fused pass source everywhere; real optional
-#: backends join automatically where their runtime is installed.
-FALLBACK = NumbaBackend(python_fallback=True)
+AUTO = get_backend("auto")
 
 
 def _tree_result(n, seed, backend, quadrupole=True, eps=0.02,
@@ -89,31 +87,46 @@ def _rel(a, b):
 
 
 def _nondefault_backends():
-    """Every backend the host can actually run, plus the fallback."""
-    extras = [get_backend(name) for name in available_backends()
-              if name != "numpy"]
-    return [FALLBACK, *extras]
+    """Every backend other than the oracle that the host can run."""
+    return [get_backend(name) for name in available_backends()
+            if name != "numpy"]
+
+
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """A host without ``cc``: ``shutil.which`` finds nothing, and the
+    registry holds a fresh compiled backend that has built nothing."""
+    from repro.gravity import backends
+    monkeypatch.setattr(shutil, "which", lambda *a, **k: None)
+    monkeypatch.setitem(backends._REGISTRY, "compiled", CompiledBackend())
 
 
 # -- registry ---------------------------------------------------------------
 
 def test_builtin_backends_registered():
-    assert registered_backends() == ("numpy", "numba")
+    assert registered_backends() == ("numpy", "compiled")
     assert "numpy" in available_backends()
+    expected = "compiled" if shutil.which("cc") else "numpy"
+    assert AUTO.name == expected
 
 
 def test_get_backend_passthrough_and_errors():
     be = get_backend("numpy")
     assert get_backend(be) is be
+    assert get_backend("auto") is get_backend(AUTO.name)
     with pytest.raises(ValueError, match="unknown compute backend"):
         get_backend("does-not-exist")
-
-
-def test_unavailable_backend_raises_with_reason():
-    if "numba" in available_backends():
-        pytest.skip("numba is installed here")
-    with pytest.raises(BackendUnavailable, match="numba"):
+    with pytest.raises(ValueError, match="unknown compute backend"):
         get_backend("numba")
+
+
+def test_unavailable_backend_raises_with_reason(no_compiler):
+    # Without a compiler "auto" falls back to the oracle; asking for
+    # "compiled" by name fails and says why.
+    assert get_backend("auto").name == "numpy"
+    assert available_backends() == ("numpy",)
+    with pytest.raises(BackendUnavailable, match="no C compiler"):
+        get_backend("compiled")
 
 
 def test_register_and_unregister_custom_backend():
@@ -130,45 +143,57 @@ def test_register_and_unregister_custom_backend():
 
 
 def test_no_heavy_import_at_module_load():
-    # The registry (and this whole suite's imports) must not pull in
-    # numba; availability probing is find_spec-only.
-    if "numba" not in available_backends():
-        assert "numba" not in sys.modules
+    # Importing the package and validating the default config builds
+    # nothing and needs no compiler: a host without one imports cleanly.
+    code = ("import repro, shutil; from repro import SimulationConfig; "
+            "assert shutil.which('cc') is None; "
+            "print(SimulationConfig().backend)")
+    env = {"PATH": "/nonexistent", "PYTHONPATH": ":".join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "auto"
 
 
 def test_config_validates_backend():
-    assert SimulationConfig().backend == "numpy"
-    cfg = SimulationConfig(backend="numba")   # registered: config is valid
-    assert cfg.backend == "numba"             # (availability checked later)
-    with pytest.raises(ValueError, match="unknown backend"):
-        SimulationConfig(backend="fortran")
+    assert SimulationConfig().backend == "auto"
+    cfg = SimulationConfig(backend="compiled")  # registered: config is
+    assert cfg.backend == "compiled"            # valid (built later)
+    for gone in ("numba", "fortran"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            SimulationConfig(backend=gone)
 
 
-def test_driver_fails_fast_when_backend_unavailable():
-    if "numba" in available_backends():
-        pytest.skip("numba is installed here")
+def test_driver_fails_fast_when_backend_unavailable(no_compiler):
     ps = plummer_model(32, seed=0)
-    with pytest.raises(BackendUnavailable):
-        Simulation(ps, SimulationConfig(backend="numba"))
+    with pytest.raises(BackendUnavailable, match="no C compiler"):
+        Simulation(ps, SimulationConfig(backend="compiled"))
 
 
 # -- default unchanged ------------------------------------------------------
 
 def test_default_backend_bitwise_unchanged():
-    ref = _tree_result(256, 1, backend="numpy")
-    default = _tree_result(256, 1, backend="numpy")
+    # The default is whatever "auto" resolves to, bitwise.
+    ref = _tree_result(256, 1, backend=AUTO.name)
+    default = _tree_result(256, 1, backend="auto")
     assert ref.acc.tobytes() == default.acc.tobytes()
     assert ref.phi.tobytes() == default.phi.tobytes()
 
 
-def test_default_serial_spans_carry_no_backend_attr():
+def test_default_serial_spans_name_the_resolved_backend():
+    # A numpy run stamps nothing (absence == numpy); any other backend,
+    # the compiled default included, is named on every gravity span.
     ps = plummer_model(128, seed=2)
-    tr = Tracer(clock=VirtualClock())
-    sim = Simulation(ps, SimulationConfig(theta=THETA, softening=0.02,
-                                          dt=0.01), trace=tr)
-    sim.compute_forces()
-    spans = _spans(tr, "gravity_local")
-    assert spans and all("backend" not in s.get("args", {}) for s in spans)
+    for backend in ("auto", "numpy"):
+        tr = Tracer(clock=VirtualClock())
+        sim = Simulation(ps, SimulationConfig(
+            theta=THETA, softening=0.02, dt=0.01, backend=backend), trace=tr)
+        sim.compute_forces()
+        name = get_backend(backend).name
+        spans = _spans(tr, "gravity_local")
+        assert spans and all(
+            s.get("args", {}).get("backend", "numpy") == name
+            for s in spans)
 
 
 # -- oracle agreement (hypothesis over random problems) ---------------------
@@ -197,14 +222,12 @@ def test_float32_variant_bounded_by_envelope():
 
 
 def test_single_particle_and_eps_zero_edges():
-    # One particle: every pair list is empty or pure self-pairs.
-    for backend in ("numpy", *[b.name for b in _nondefault_backends()
-                               if b.name in available_backends()]):
-        res = _tree_result(2, 5, backend=backend, eps=0.0)
-        assert np.isfinite(res.acc).all() and np.isfinite(res.phi).all()
-    res = _tree_result(2, 5, backend=FALLBACK, eps=0.0)
+    # Two particles at eps = 0: every list is tiny and holds self-pairs.
     ref = _tree_result(2, 5, backend="numpy", eps=0.0)
-    np.testing.assert_allclose(res.acc, ref.acc, rtol=1e-12, atol=1e-13)
+    assert np.isfinite(ref.acc).all() and np.isfinite(ref.phi).all()
+    for backend in _nondefault_backends():
+        res = _tree_result(2, 5, backend=backend, eps=0.0)
+        np.testing.assert_allclose(res.acc, ref.acc, rtol=1e-12, atol=1e-13)
 
 
 # -- pair-batch kernels (empty / single-pair edges included) ----------------
@@ -239,7 +262,7 @@ def test_empty_pair_lists_are_noops():
     compute_moments(tree, ps.pos, ps.mass)
     make_groups(tree, 16)
     from repro.gravity.flops import InteractionCounts
-    for backend in ("numpy", FALLBACK):
+    for backend in ("numpy", *_nondefault_backends()):
         counts = InteractionCounts()
         evaluate_pc_pairs(acc, phi, ps.pos, tree, empty, empty,
                           tree.group_first, tree.group_count, 1e-4, True,
@@ -278,13 +301,21 @@ def test_point_forces_eps_zero_warning_clean():
 
 # -- workspaces and warm-up -------------------------------------------------
 
-def test_jit_workspace_contract():
-    ws = JitWorkspace(1024, "float32")
-    assert ws.dtype == np.float32 and ws.nbytes == 0
-    assert ws.ensure(4096) is ws and ws.chunk == 4096
+def test_compiled_workspace_never_grows():
+    # The C kernels keep their sums on the stack and in one malloc per
+    # call: the base workspace they are handed stays empty.
+    for backend in _nondefault_backends():
+        ws = backend.make_workspace(1 << 40, "float32")
+        assert isinstance(ws, KernelWorkspace) and ws.dtype == np.float32
+        ps = plummer_model(200, seed=4)
+        tree = build_octree(ps.pos, nleaf=8)
+        compute_moments(tree, ps.pos, ps.mass)
+        make_groups(tree, 16)
+        tree_forces(tree, ps.pos, ps.mass, theta=THETA, eps=0.02,
+                    workspace=ws, backend=backend)
+        assert ws.nbytes == 0
     with pytest.raises(ValueError):
-        JitWorkspace(8, "float16")
-    assert isinstance(get_backend("numpy").make_workspace(8).nbytes, int)
+        KernelWorkspace(8, "float16")
 
 
 @pytest.mark.parametrize("precision", ["float64", "float32"])
@@ -312,7 +343,8 @@ def test_force_pass_grows_workspace_only_to_its_tiles():
     compute_moments(tree, ps.pos, ps.mass)
     make_groups(tree, 16)
     ws = KernelWorkspace(1 << 40)
-    kw = dict(theta=THETA, eps=0.02, chunk=1 << 40, workspace=ws)
+    kw = dict(theta=THETA, eps=0.02, chunk=1 << 40, workspace=ws,
+              backend="numpy")
     first = tree_forces(tree, ps.pos, ps.mass, **kw)
     grown = ws.nbytes
     assert 0 < grown <= 13 * 8 * ps.n ** 2
@@ -321,9 +353,11 @@ def test_force_pass_grows_workspace_only_to_its_tiles():
     assert first.acc.tobytes() == second.acc.tobytes()
 
 
-def test_fallback_warmup_idempotent():
-    FALLBACK.warmup("float64")
-    FALLBACK.warmup("float32")
+def test_compiled_warmup_idempotent():
+    for backend in (get_backend("numpy"), *_nondefault_backends()):
+        backend.warmup("float64")
+        backend.warmup("float32")
+        assert backend.available()
 
 
 # -- driver + telemetry threading (via a registered mirror backend) ---------
@@ -334,7 +368,7 @@ def mirror_backend():
 
     Exercises every driver/telemetry code path a non-default backend
     takes (resolution, workspace creation, span stamping, perf rows)
-    with bitwise-reference numerics and no optional dependency.
+    with bitwise-reference numerics and no compiler.
     """
     backend = NumpyBackend(name="mirror")
     register_backend(backend)
@@ -348,7 +382,8 @@ def test_serial_driver_threads_backend(mirror_backend):
     tr = Tracer(clock=VirtualClock())
     sim = Simulation(ps, SimulationConfig(backend="mirror", **kw), trace=tr)
     acc, phi = sim.compute_forces()
-    ref = Simulation(ps, SimulationConfig(**kw)).compute_forces()
+    ref = Simulation(ps, SimulationConfig(backend="numpy",
+                                          **kw)).compute_forces()
     assert acc.tobytes() == ref[0].tobytes()
     assert phi.tobytes() == ref[1].tobytes()
     spans = _spans(tr, "gravity_local")
@@ -359,7 +394,7 @@ def test_serial_driver_threads_backend(mirror_backend):
 def test_parallel_driver_threads_backend(mirror_backend, transport):
     from tests.test_forest_walk import _cfg, _forces
     particles = plummer_model(256, seed=8)
-    ref = _forces(particles, _cfg(transport=transport), 2)
+    ref = _forces(particles, _cfg(transport=transport, backend="numpy"), 2)
     got = _forces(particles, _cfg(transport=transport, backend="mirror"), 2)
     assert got[2] == ref[2]                      # counts byte-identical
     assert got[0].tobytes() == ref[0].tobytes()  # bitwise reference numerics
@@ -378,45 +413,33 @@ def test_perf_report_gains_backend_rows(mirror_backend):
     row = perf["backends"]["mirror"]
     assert row["n_pp"] > 0 and row["flops"] > 0
     assert any("backend mirror" in line for line in perf_lines(perf))
-    # Default runs attribute everything to numpy (absence == default).
-    tr2 = Tracer(clock=VirtualClock())
-    Simulation(ps, SimulationConfig(**kw), trace=tr2).step()
-    perf2 = perf_from_trace(json.loads(chrome_trace_json(tr2)))
-    assert list(perf2["backends"]) == ["numpy"]
+    # Default runs attribute everything to the backend "auto" resolves
+    # to; numpy runs stamp nothing and still get their row.
+    for backend in ("auto", "numpy"):
+        tr2 = Tracer(clock=VirtualClock())
+        Simulation(ps, SimulationConfig(backend=backend, **kw),
+                   trace=tr2).step()
+        perf2 = perf_from_trace(json.loads(chrome_trace_json(tr2)))
+        assert list(perf2["backends"]) == [get_backend(backend).name]
     # The perf summary stays JSON-serialisable (report embedding).
     json.dumps(perf)
 
 
-# -- optional runtimes: skip-not-fail locally, exercised in CI --------------
-
-def _require(name):
-    try:
-        return get_backend(name)
-    except BackendUnavailable as exc:
-        pytest.skip(str(exc))
-
-
-def test_optional_backend_matches_oracle_when_installed():
-    backend = _require("numba")
-    backend.warmup()
-    ref = _tree_result(512, 21, backend="numpy")
-    res = _tree_result(512, 21, backend=backend)
-    assert (res.counts.n_pp, res.counts.n_pc) \
-        == (ref.counts.n_pp, ref.counts.n_pc)
-    assert _rel(res.acc, ref.acc) < ENVELOPE
-    assert _rel(res.phi, ref.phi) < ENVELOPE
-
+# -- the compiled backend across drivers and transports ----------------------
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 4, 8])
 @pytest.mark.parametrize("transport", ["threads", "process"])
-def test_numba_cross_transport_matrix(n_ranks, transport):
-    """The PR-5 gate, rerun under the JIT backend: counts bitwise at
-    1/2/4/8 ranks on both transports, forces inside the envelope."""
-    _require("numba")
+def test_compiled_cross_transport_matrix(n_ranks, transport):
+    """The PR-5 gate, rerun on the compiled backend: counts bitwise at
+    1/2/4/8 ranks on both transports, forces inside the envelope of the
+    numpy oracle."""
+    if "compiled" not in available_backends():
+        pytest.skip("no C compiler on this host")
     from tests.test_forest_walk import _cfg, _forces
     particles = plummer_model(512, seed=22)
-    ref = _forces(particles, _cfg(transport=transport), n_ranks)
-    got = _forces(particles, _cfg(transport=transport, backend="numba"),
+    ref = _forces(particles, _cfg(transport=transport, backend="numpy"),
+                  n_ranks)
+    got = _forces(particles, _cfg(transport=transport, backend="compiled"),
                   n_ranks)
     assert got[2] == ref[2]
     assert _rel(got[0], ref[0]) < ENVELOPE
