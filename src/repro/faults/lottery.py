@@ -68,10 +68,6 @@ class MessageFaultOps:
     ``mark_rank_failed``.
     """
 
-    def _rng(self, src: int, dst: int, tag: int,
-             seq: int) -> np.random.Generator:
-        return message_rng(self.seed, src, dst, tag, seq)
-
     def _fault_instant(self, kind: str, rank: int, **attrs) -> None:
         """Emit a cat="fault" instant without advancing the rank's
         logical clock (``peek``): injected faults must never shift the

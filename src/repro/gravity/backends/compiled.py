@@ -2,21 +2,18 @@
 
 ``tilekernel.c`` streams each group's list through registers, as the
 paper's GPU kernel does (Sec. III-A): one ``ctypes`` call per (source,
-kind) evaluates the source's whole group-sorted pair list, gathers
-included, where numpy spends half its time gathering, dispatching and
-reducing.  Each run (one source's part of one group's list) is summed per
-target in list order, so forces agree with the numpy oracle to round-off
-(``rtol=1e-12`` in float64) and a forest's runs add bitwise what its
-sources add one by one.  Counts are tallied in Python from the pair
-lists; the dense and pair-batch kernels are numpy's.
+kind) evaluates the whole group-sorted pair list, gathers included.  Each
+run (one source's part of one group's list) is summed per target in list
+order, so forces match the numpy oracle to ``rtol=1e-12`` in float64 and
+a forest's runs add bitwise what its sources add one by one.  Counts,
+dense and pair-batch kernels are numpy's.
 
-The library is built on first use, both precisions in one ``cc`` call,
-into the first writable of ``$XDG_CACHE_HOME/repro``, ``~/.cache/repro``
-and the temporary directory, under a name hashing the source, the flags
-and the machine; ``os.replace`` from a private temporary name makes
-concurrent builds safe.  ``target_clones`` picks the AVX-512, AVX2 or
-baseline body at load time, so the cache holds on any CPU of the
-architecture.
+The library is built on first use (one ``cc`` call, both precisions)
+into the first of ``$XDG_CACHE_HOME/repro``, ``~/.cache/repro`` and
+``<tmp>/repro-<uid>`` that is this user's alone, named by a hash of the
+source, flags and machine; ``os.replace`` from a private temporary name
+makes concurrent builds safe.  ``target_clones`` picks the AVX-512, AVX2
+or baseline body at load time, so one cache serves any CPU of the arch.
 """
 
 from __future__ import annotations
@@ -51,15 +48,26 @@ _ARGTYPES = {"pc": [_P] * 10 + [_I] + _TAIL, "pp": [_P] * 11 + _TAIL}
 
 
 def cache_dirs() -> list[Path]:
-    """Where the built library may live, in order of preference."""
-    return [Path(d) / "repro" for d in (os.environ.get("XDG_CACHE_HOME"),
-                                        Path.home() / ".cache",
-                                        tempfile.gettempdir()) if d]
+    """Where the built library may live, in order of preference; the
+    last is this user's own directory under the temporary directory."""
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    dirs = [Path(xdg) / "repro"] if xdg else []
+    try:
+        dirs.append(Path.home() / ".cache" / "repro")
+    except RuntimeError:                # no HOME and no passwd entry
+        pass
+    return dirs + [Path(tempfile.gettempdir()) / f"repro-{os.getuid()}"]
+
+
+def _private(path: Path) -> bool:
+    """Whether ``path`` is this user's and no one else can write it."""
+    st = path.stat()
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022
 
 
 def build(cc: str, dirs: list[Path] | None = None) -> Path:
-    """The cached library, compiling it into the first writable cache
-    directory if none holds it yet."""
+    """The cached library, compiled into the first usable cache directory
+    if none holds it; what others own or may write is never loaded."""
     src = importlib.resources.files(__package__).joinpath(SOURCE).read_bytes()
     key = hashlib.sha256(b"\0".join(
         [src, " ".join(CFLAGS).encode(), platform.machine().encode()]
@@ -67,10 +75,12 @@ def build(cc: str, dirs: list[Path] | None = None) -> Path:
     name = f"tilekernel-{key}.so"
     tried = []
     for d in dirs if dirs is not None else cache_dirs():
-        if (d / name).is_file():
-            return d / name
         try:
-            d.mkdir(parents=True, exist_ok=True)
+            d.mkdir(mode=0o700, parents=True, exist_ok=True)
+            if not _private(d):
+                raise PermissionError("not private to this user")
+            if (d / name).is_file() and _private(d / name):
+                return d / name
             fd, tmp = tempfile.mkstemp(suffix=".so", prefix=".build-", dir=d)
             os.close(fd)
         except OSError as exc:
@@ -83,12 +93,13 @@ def build(cc: str, dirs: list[Path] | None = None) -> Path:
                 raise BackendUnavailable(
                     f"{cc} failed to build {SOURCE}:\n"
                     + proc.stderr.decode(errors="replace"))
+            os.chmod(tmp, 0o700)
             os.replace(tmp, d / name)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         return d / name
-    raise BackendUnavailable("no writable cache directory for the compiled "
+    raise BackendUnavailable("no usable cache directory for the compiled "
                              "kernel: " + "; ".join(tried))
 
 
@@ -99,8 +110,7 @@ def _array(a) -> np.ndarray:
 
 
 def _acc_pointers(accx, accy, accz, accp, n: int) -> list:
-    """Pointers to the ``n`` targets' accumulators, plus the element
-    stride of x/y/z."""
+    """Pointers to the ``n`` targets' accumulators, and x/y/z's stride."""
     cols = (accx, accy, accz, accp)
     if {c.dtype for c in cols} != {np.dtype(np.float64)} \
             or {len(c) for c in cols} != {n} or accp.strides != (8,) \
@@ -166,8 +176,8 @@ class CompiledBackend(NumpyBackend):
         quad = sv.quad if quadrupole else None
         self._call("pc", ws, [*tview, group_first, group_count, sv.com_x,
                               sv.com_y, sv.com_z, sv.mass, quad],
-                   [len(sv.mass)], group_sorted_runs(pc_g, pc_c,
-                                                     sv.cell_offsets),
+                   [len(sv.mass)],
+                   group_sorted_runs(pc_g, pc_c, sv.cell_offsets),
                    eps2, quadrupole, (accx, accy, accz, accp))
 
     def evaluate_pp(self, accx, accy, accz, accp, tview, sv,

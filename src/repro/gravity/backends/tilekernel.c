@@ -30,16 +30,18 @@ typedef int64_t i64;
 #define CLONES
 #endif
 
-/* Per-target sums of the largest group any run touches (4 columns),
- * zeroed; flush() leaves them zeroed again. */
-static double *run_sums(const i64 *group_count, const i64 *run_group,
-                        i64 nruns)
+/* Scratch for the largest group any run touches: its 4 sum columns,
+ * zeroed (flush() leaves them zeroed again), then room for its 3 target
+ * columns in the kernel's precision.  The largest group is in *mmax. */
+static double *scratch(const i64 *group_count, const i64 *run_group,
+                       i64 nruns, i64 *mmax)
 {
     i64 m = 1;
     for (i64 r = 0; r < nruns; r++)
         if (group_count[run_group[r]] > m)
             m = group_count[run_group[r]];
-    return calloc(4 * (size_t)m, sizeof(double));
+    *mmax = m;
+    return calloc(7 * (size_t)m, sizeof(double));
 }
 
 /* Add a run's sums to the group's accumulators and clear them. */
@@ -55,26 +57,25 @@ static void flush(double *s, i64 m, i64 gf, double *ax, double *ay,
     }
 }
 
-/* The target columns of a group and its four sum columns. */
-#define TARGETS(gf) tx + (gf), ty + (gf), tz + (gf)
+/* A group's 3 target columns and its 4 sum columns. */
+#define TARGETS(t, m) (t), (t) + (m), (t) + 2 * (m)
 #define SUMS(s, m) (s), (s) + (m), (s) + 2 * (m), (s) + 3 * (m)
 
 /* KERNELS(SFX, real, SQRT) defines eval_pc_SFX and eval_pp_SFX with
- * pair arithmetic in `real`.  Separations are formed in double and
- * rounded once to `real`, as the numpy tile evaluator does. */
+ * all pair arithmetic in `real`: each run rounds its group's targets to
+ * `real` once, and each source point or cell is rounded once. */
 #define KERNELS(SFX, real, SQRT)                                             \
                                                                              \
 /* One source point (bx, by, bz; mass mj) on m targets.  `self` is the     \
  * target row that is this point (its 1/r is zeroed), or -1. */             \
 static inline void point_##SFX(                                              \
-    i64 m, const double *restrict tx, const double *restrict ty,             \
-    const double *restrict tz, double bx, double by, double bz, real mj,    \
+    i64 m, const real *restrict tx, const real *restrict ty,                 \
+    const real *restrict tz, real bx, real by, real bz, real mj,            \
     real e2, i64 self, double *restrict fx, double *restrict fy,             \
     double *restrict fz, double *restrict fp)                                \
 {                                                                            \
     for (i64 i = 0; i < m; i++) {                                            \
-        real dx = (real)(bx - tx[i]), dy = (real)(by - ty[i]);               \
-        real dz = (real)(bz - tz[i]);                                        \
+        real dx = bx - tx[i], dy = by - ty[i], dz = bz - tz[i];              \
         real rinv = (real)1 / SQRT(dx * dx + dy * dy + dz * dz + e2);        \
         rinv = i == self ? (real)0 : rinv;                                   \
         real mr = mj * rinv, mr3 = mr * (rinv * rinv);                       \
@@ -87,15 +88,14 @@ static inline void point_##SFX(                                              \
                                                                              \
 /* One cell (COM bx, by, bz; mass mj; moments q = xx yy zz xy xz yz). */    \
 static inline void cell_##SFX(                                               \
-    i64 m, const double *restrict tx, const double *restrict ty,             \
-    const double *restrict tz, double bx, double by, double bz, real mj,    \
+    i64 m, const real *restrict tx, const real *restrict ty,                 \
+    const real *restrict tz, real bx, real by, real bz, real mj,            \
     const real *restrict q, real e2, double *restrict fx,                    \
     double *restrict fy, double *restrict fz, double *restrict fp)           \
 {                                                                            \
     real trq = q[0] + q[1] + q[2];                                           \
     for (i64 i = 0; i < m; i++) {                                            \
-        real dx = (real)(bx - tx[i]), dy = (real)(by - ty[i]);               \
-        real dz = (real)(bz - tz[i]);                                        \
+        real dx = bx - tx[i], dy = by - ty[i], dz = bz - tz[i];              \
         real rinv = (real)1 / SQRT(dx * dx + dy * dy + dz * dz + e2);        \
         real qrx = q[0] * dx + q[3] * dy + q[4] * dz;                        \
         real qry = q[3] * dx + q[1] * dy + q[5] * dz;                        \
@@ -113,6 +113,18 @@ static inline void cell_##SFX(                                               \
     }                                                                        \
 }                                                                            \
                                                                              \
+/* Round group gf's m targets into t (x, y, z columns) once per run. */      \
+static inline void group_##SFX(real *restrict t, i64 m, i64 gf,              \
+                               const double *tx, const double *ty,           \
+                               const double *tz)                             \
+{                                                                            \
+    for (i64 i = 0; i < m; i++) {                                            \
+        t[i] = (real)tx[gf + i];                                             \
+        t[m + i] = (real)ty[gf + i];                                         \
+        t[2 * m + i] = (real)tz[gf + i];                                     \
+    }                                                                        \
+}                                                                            \
+                                                                             \
 CLONES int eval_pc_##SFX(                                                    \
     const double *tx, const double *ty, const double *tz,                    \
     const i64 *group_first, const i64 *group_count,                          \
@@ -122,21 +134,26 @@ CLONES int eval_pc_##SFX(                                                    \
     i64 nruns, double eps2, int quadrupole,                                  \
     double *ax, double *ay, double *az, double *ap, i64 stride)              \
 {                                                                            \
-    double *s = run_sums(group_count, run_group, nruns);                     \
+    i64 mmax;                                                                \
+    double *s = scratch(group_count, run_group, nruns, &mmax);               \
     if (!s) return 1;                                                        \
+    real *t = (real *)(s + 4 * mmax);                                        \
     for (i64 r = 0; r < nruns; r++) {                                        \
         i64 gf = group_first[run_group[r]], m = group_count[run_group[r]];   \
+        group_##SFX(t, m, gf, tx, ty, tz);                                   \
         for (i64 e = run_start[r]; e < run_start[r + 1]; e++) {              \
             i64 c = entries[e];                                              \
             if (quadrupole) {                                                \
                 real q[6];                                                   \
                 for (int k = 0; k < 6; k++)                                  \
                     q[k] = (real)quad[k * ncell + c];                        \
-                cell_##SFX(m, TARGETS(gf), cx[c], cy[c], cz[c],              \
-                           (real)cm[c], q, (real)eps2, SUMS(s, m));          \
+                cell_##SFX(m, TARGETS(t, m), (real)cx[c], (real)cy[c],       \
+                           (real)cz[c], (real)cm[c], q, (real)eps2,          \
+                           SUMS(s, m));                                      \
             } else {                                                         \
-                point_##SFX(m, TARGETS(gf), cx[c], cy[c], cz[c],             \
-                            (real)cm[c], (real)eps2, -1, SUMS(s, m));        \
+                point_##SFX(m, TARGETS(t, m), (real)cx[c], (real)cy[c],      \
+                            (real)cz[c], (real)cm[c], (real)eps2, -1,        \
+                            SUMS(s, m));                                     \
             }                                                                \
         }                                                                    \
         flush(s, m, gf, ax, ay, az, ap, stride);                             \
@@ -154,15 +171,18 @@ CLONES int eval_pp_##SFX(                                                    \
     i64 nruns, double eps2, int exclude_self,                                \
     double *ax, double *ay, double *az, double *ap, i64 stride)              \
 {                                                                            \
-    double *s = run_sums(group_count, run_group, nruns);                     \
+    i64 mmax;                                                                \
+    double *s = scratch(group_count, run_group, nruns, &mmax);               \
     if (!s) return 1;                                                        \
+    real *t = (real *)(s + 4 * mmax);                                        \
     for (i64 r = 0; r < nruns; r++) {                                        \
         i64 gf = group_first[run_group[r]], m = group_count[run_group[r]];   \
+        group_##SFX(t, m, gf, tx, ty, tz);                                   \
         for (i64 e = run_start[r]; e < run_start[r + 1]; e++) {              \
             i64 b0 = body_first[entries[e]], nb = body_count[entries[e]];    \
             for (i64 b = b0; b < b0 + nb; b++)                               \
-                point_##SFX(m, TARGETS(gf), sx[b], sy[b], sz[b],             \
-                            (real)sm[b], (real)eps2,                         \
+                point_##SFX(m, TARGETS(t, m), (real)sx[b], (real)sy[b],      \
+                            (real)sz[b], (real)sm[b], (real)eps2,            \
                             exclude_self ? b - gf : -1, SUMS(s, m));         \
         }                                                                    \
         flush(s, m, gf, ax, ay, az, ap, stride);                             \

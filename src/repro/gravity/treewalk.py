@@ -312,8 +312,7 @@ def _expand_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 def group_sorted_runs(pg: np.ndarray, pc: np.ndarray,
                       cell_offsets: np.ndarray | None = None):
-    """Sort a pair list by group into runs: ``(run_start, run_group,
-    entries)``.
+    """A pair list sorted by group: ``(run_start, run_group, entries)``.
 
     ``entries`` are the list entries ``pc`` in group order; run ``r`` is
     ``entries[run_start[r]:run_start[r + 1]]``, all of group

@@ -273,11 +273,6 @@ class StreamingJsonlSink(Sink):
         fh.write("".join(line + "\n" for line in buf))
         buf.clear()
 
-    def buffered_lines(self) -> int:
-        """Lines currently held in memory across all ranks."""
-        with self._lock:
-            return sum(len(b) for b in self._buf.values())
-
     def flush(self) -> None:
         """Append every buffered line to its part file and fsync-flush."""
         with self._lock:

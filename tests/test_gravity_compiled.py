@@ -6,16 +6,20 @@ kernels sum each run in list order, numpy sums pairwise, so they agree
 to round-off, not bitwise -- with interaction counts equal exactly.
 Batched and per-source evaluation agree bitwise *within* the backend.
 The build cache must survive an unwritable directory, a missing
-compiler and two processes building at once.  Everything but the
-packaging check skips on a host without ``cc``.
+compiler, a missing home and two processes building at once, and never
+load a library another user owns or can write.  Everything but the
+packaging and cache-directory checks skips on a host without ``cc``.
 """
 
+import ctypes
 import importlib.resources
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +212,61 @@ def test_no_writable_cache_dir_names_the_cause(tmp_path):
     blocker.write_text("not a directory")
     with pytest.raises(compiled.BackendUnavailable, match="a-file"):
         compiled.build("cc", [blocker / "repro"])
+
+
+@needs_cc
+def test_cache_others_can_write_is_never_loaded(tmp_path):
+    cc = shutil.which("cc")
+    shared, good = tmp_path / "shared", tmp_path / "good"
+    planted = compiled.build(cc, [shared])
+    # A directory others may write is skipped, library and all.
+    shared.chmod(0o777)
+    assert compiled.build(cc, [shared, good]).parent == good
+    with pytest.raises(compiled.BackendUnavailable, match="not private"):
+        compiled.build(cc, [shared])
+    # A library others may write, in a private directory, is rebuilt
+    # over rather than loaded.
+    shared.chmod(0o700)
+    planted.write_bytes(b"not a library")
+    planted.chmod(0o666)
+    assert compiled.build(cc, [shared]) == planted
+    assert not planted.stat().st_mode & 0o077
+    ctypes.CDLL(str(planted)).eval_pp_f64
+
+
+@needs_cc
+def test_cache_another_user_owns_is_never_loaded(tmp_path, monkeypatch):
+    planted = compiled.build(shutil.which("cc"), [tmp_path / "theirs"])
+    # Seen from another uid, the directory and its library are foreign.
+    monkeypatch.setattr(os, "getuid", lambda: planted.stat().st_uid + 1)
+    with pytest.raises(compiled.BackendUnavailable, match="not private"):
+        compiled.build("/nonexistent/cc", [planted.parent])
+
+
+def test_cache_dirs_end_in_a_per_user_temp_dir(monkeypatch):
+    def no_home():
+        raise RuntimeError("Could not determine home directory.")
+
+    last = Path(tempfile.gettempdir()) / f"repro-{os.getuid()}"
+    monkeypatch.setenv("XDG_CACHE_HOME", "/xdg")
+    assert compiled.cache_dirs()[0] == Path("/xdg/repro")
+    assert compiled.cache_dirs()[-1] == last
+    # No HOME and no passwd entry: the home cache is skipped, not fatal.
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setattr(Path, "home", staticmethod(no_home))
+    assert compiled.cache_dirs() == [last]
+
+
+@needs_cc
+def test_no_home_still_builds_in_the_temp_dir(tmp_path, monkeypatch):
+    def no_home():
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.setattr(Path, "home", staticmethod(no_home))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert compiled.CompiledBackend().available()
+    assert list((tmp_path / f"repro-{os.getuid()}").glob("*.so"))
 
 
 @needs_cc
